@@ -506,10 +506,11 @@ class NativeEngine:
         return results
 
     def _tree_rows(self, tree, row_of):
-        """Matcher rows + user ids of one tree's member profiles."""
-        uids = sorted(entry.user_id for entry in tree.all_entries())
-        rows = np.fromiter((row_of[u] for u in uids), dtype=np.int64, count=len(uids))
-        return rows, np.asarray(uids, dtype=np.int64)
+        """Matcher rows + user ids of one tree's members (its block store's
+        rows, in store order)."""
+        uids = tree.store.members()
+        rows = np.fromiter((row_of[u] for u in uids.tolist()), dtype=np.int64, count=len(uids))
+        return rows, uids
 
     def _knn_search(self, item, k: int, lookup_cache) -> list[tuple[int, float]]:
         from repro.index.cppse import _TIE_EPS
@@ -530,8 +531,10 @@ class NativeEngine:
         # tolerance is pruned whole (Lemmas 1-2: no false dismissals).
         bounded = []
         for block_id, tree in sorted(trees.items()):
+            if not len(tree):
+                continue
             query = QuerySignature.encode(item, weighted, tree.universe, block_id)
-            bounded.append((tree.root.relevance(query, lam), block_id, tree))
+            bounded.append((tree.root_bound(query, lam), block_id, tree))
         bounded.sort(key=lambda entry: (-entry[0], entry[1]))
         # Running result heap: min-heap on (score, -user_id), as in
         # CPPseIndex._knn_search; its root is the pruning bound once full.

@@ -152,8 +152,10 @@ class CompiledPlan:
         :class:`~repro.obs.metrics.MetricsRegistry`.
 
         Exposes the result cache's hit/miss/eviction counters (plus a
-        ``cache.hit_rate`` gauge) and the dedup stage's collapse counters
-        under the plan's name, so the facades' merged registries — and
+        ``cache.hit_rate`` gauge), the dedup stage's collapse counters and,
+        on index plans, the CPPse index's Algorithm-1/2 work counters (plus
+        an ``index.pruned_frac`` gauge) under the plan's name, so the
+        facades' merged registries — and
         through them the server's ``metrics`` route and ``python -m
         repro.obs summarize`` — report cache and dedup behavior without a
         side channel.  Counters snapshot the live stats objects; the
@@ -185,6 +187,11 @@ class CompiledPlan:
             registry.gauge("dedup.collapse_rate", plan=plan_name, mode=mode).set(
                 stats.collapse_rate
             )
+        index = getattr(self.owner, "index", None)
+        if self.plan.uses_index and index is not None:
+            for name, value in index.stats.counters().items():
+                registry.counter(name, plan=plan_name).inc(value)
+            registry.gauge("index.pruned_frac", plan=plan_name).set(index.stats.pruned_frac)
         return registry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,17 +2,18 @@
 
 Structure (Fig. 4): a chained hash table maps each category-entity pair to
 the extended signature trees (one per user block holding that pair); each
-tree stores the block's user profiles under one category.  KNN queries run
-best-first over the located trees, pruning subtrees whose upper-bound
-relevance (Def. 2) cannot beat the current k-th best — Lemmas 1-2 guarantee
-no false dismissals among the probed trees.
+tree is the category view of its block's flat :class:`BlockStore`.  KNN
+queries visit the located trees in descending root-bound order and descend
+each a level at a time, pruning nodes whose upper-bound relevance (Def. 2)
+cannot beat the current k-th best — Lemmas 1-2 guarantee no false
+dismissals among the probed trees.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +23,43 @@ from repro.core.profiles import ProfileStore, UserProfile
 from repro.datasets.schema import SocialItem
 from repro.index.blocks import UserBlock, assign_to_block, block_statistics, one_pass_clustering
 from repro.index.hashing import ChainedHashTable
-from repro.index.signature import (
-    BlockUniverse,
-    QuerySignature,
-    UniverseOverflow,
-    UserVector,
-)
-from repro.index.sigtree import LeafEntry, SignatureTree
+from repro.index.signature import BlockUniverse, QuerySignature, UniverseOverflow
+from repro.index.sigtree import BlockStore, SignatureTree, group_ranges, relevance_rows
 
 #: Tie tolerance when comparing against the pruning bound; entries whose
 #: upper bound equals the current k-th best (within float noise) are still
 #: explored so tied users resolve deterministically by id.
 _TIE_EPS = 1e-12
+
+
+@dataclass
+class IndexStats:
+    """Algorithm-1/2 work counters since the index was built (plain ints,
+    added once per query and once per block refresh)."""
+
+    trees_probed: int = 0
+    bounds_evaluated: int = 0
+    leaves_scored: int = 0
+    users_probed: int = 0
+    rows_refreshed: int = 0
+    nodes_reaggregated: int = 0
+    block_rebuilds: int = 0
+
+    @property
+    def pruned_frac(self) -> float:
+        """Share of probed users Algorithm 1 never scored."""
+        return 1.0 - self.leaves_scored / self.users_probed if self.users_probed else 0.0
+
+    def counters(self) -> dict[str, int]:
+        """The counters under their ``repro.obs`` metric names."""
+        return {
+            "index.trees_probed": self.trees_probed,
+            "index.bounds_evaluated": self.bounds_evaluated,
+            "index.leaves_scored": self.leaves_scored,
+            "index.maintain.rows_refreshed": self.rows_refreshed,
+            "index.maintain.nodes_reaggregated": self.nodes_reaggregated,
+            "index.maintain.block_rebuilds": self.block_rebuilds,
+        }
 
 
 class CPPseIndex:
@@ -56,11 +82,16 @@ class CPPseIndex:
         self.n_categories = int(n_categories)
         self.config = config or SsRecConfig()
         self.blocks: list[UserBlock] = []
-        self.universes: dict[int, BlockUniverse] = {}
+        self.stores: dict[int, BlockStore] = {}
         self.trees: dict[tuple[int, int], SignatureTree] = {}
         self.hash_table = ChainedHashTable(n_buckets=self.config.hash_buckets)
         self.block_of_user: dict[int, int] = {}
-        self.vector_of_user: dict[int, UserVector] = {}
+        self.stats = IndexStats()
+
+    @property
+    def universes(self) -> dict[int, BlockUniverse]:
+        """Block id -> the block's symbol universe."""
+        return {block_id: store.universe for block_id, store in self.stores.items()}
 
     # ------------------------------------------------------------------
     # Construction
@@ -84,6 +115,7 @@ class CPPseIndex:
         )
         for block in index.blocks:
             index._build_block(block)
+        index.stats = IndexStats()  # count serving work only
         return index
 
     @classmethod
@@ -117,68 +149,56 @@ class CPPseIndex:
                     f"has block_id {block.block_id}"
                 )
             index._build_block(block)
+        index.stats = IndexStats()  # count serving work only
         return index
 
     def _build_block(self, block: UserBlock) -> None:
-        """(Re)build one block: universe, user vectors, trees, hash entries."""
-        members = [self.profiles.get(uid) for uid in block.user_ids]
+        """(Re)build one block: universe, store, trees, hash entries."""
         universe = BlockUniverse(
             producer_ids=block.producer_ids,
             entity_ids=block.entity_ids,
             slack=self.config.signature_slack,
         )
-        self.universes[block.block_id] = universe
-        long_dists: dict[int, np.ndarray] = {}
-        short_dists: dict[int, np.ndarray] = {}
-        for profile in members:
-            self.block_of_user[profile.user_id] = block.block_id
-            self.vector_of_user[profile.user_id] = UserVector.build(
-                profile, universe, self.scorer
-            )
-            long_dists[profile.user_id] = self.interest.long_term_distribution(profile)
-            short_dists[profile.user_id] = self.interest.short_term_distribution(profile)
-        categories = sorted(block.categories) or [0]
-        for category in categories:
-            entries = [
-                LeafEntry(
-                    user_id=p.user_id,
-                    vector=self.vector_of_user[p.user_id],
-                    p_long=float(long_dists[p.user_id][category]),
-                    p_short=float(short_dists[p.user_id][category]),
-                    profile=p,
-                )
-                for p in members
-            ]
-            tree = SignatureTree(
-                block.block_id, category, universe, fanout=self.config.tree_fanout
-            )
-            tree.bulk_build(entries)
-            self.trees[(block.block_id, category)] = tree
+        store = BlockStore(
+            block.block_id, universe, self.n_categories, fanout=self.config.tree_fanout
+        )
+        for uid in block.user_ids:
+            self.block_of_user[uid] = block.block_id
+        self.stores[block.block_id] = store
+        # A rebuild keeps the block's tree objects (the hash table points at
+        # them, a category-0 tree outside block.categories included).
+        for (block_id, _), tree in self.trees.items():
+            if block_id == block.block_id:
+                tree.store = store
+        for category in sorted(block.categories) or [0]:
+            tree = self.trees.get((block.block_id, category))
+            if tree is None:
+                tree = self.trees[(block.block_id, category)] = SignatureTree(store, category)
             for entity_id in universe.entity_ids():
                 self.hash_table.insert(category, entity_id, block.block_id, tree)
+        self._refresh_rows(store, [self.profiles.get(uid) for uid in block.user_ids])
+
+    def _refresh_rows(self, store: BlockStore, profiles: list[UserProfile]) -> None:
+        """Write the profiles' rows (appending new members), then
+        re-aggregate their leaf groups and ancestors once."""
+        rows = [store.find(p.user_id) for p in profiles]
+        rows = [store.append(p.user_id) if r is None else r for r, p in zip(rows, profiles)]
+        store.write_profiles(
+            rows,
+            profiles,
+            self.scorer,
+            [self.interest.long_term_distribution(p) for p in profiles],
+            [self.interest.short_term_distribution(p) for p in profiles],
+        )
+        self.stats.rows_refreshed += len(rows)
+        self.stats.nodes_reaggregated += store.reaggregate(rows)
 
     def _create_tree(self, block: UserBlock, category: int) -> SignatureTree:
-        """Lazily create a (block, category) tree covering current members."""
-        universe = self.universes[block.block_id]
-        entries = []
-        for uid in block.user_ids:
-            profile = self.profiles.get(uid)
-            if profile is None:
-                continue
-            entries.append(
-                LeafEntry(
-                    user_id=uid,
-                    vector=self.vector_of_user[uid],
-                    p_long=float(self.interest.long_term_distribution(profile)[category]),
-                    p_short=float(self.interest.short_term_distribution(profile)[category]),
-                    profile=profile,
-                )
-            )
-        tree = SignatureTree(block.block_id, category, universe, fanout=self.config.tree_fanout)
-        tree.bulk_build(entries)
-        self.trees[(block.block_id, category)] = tree
+        """Lazily add a (block, category) tree: a view of the block store."""
+        store = self.stores[block.block_id]
+        tree = self.trees[(block.block_id, category)] = SignatureTree(store, category)
         block.categories.add(int(category))
-        for entity_id in universe.entity_ids():
+        for entity_id in store.universe.entity_ids():
             self.hash_table.insert(category, entity_id, block.block_id, tree)
         return tree
 
@@ -222,7 +242,7 @@ class CPPseIndex:
         return found
 
     def knn(self, item: SocialItem, k: int) -> list[tuple[int, float]]:
-        """Algorithm 1: top-``k`` users for ``item`` via best-first search.
+        """Algorithm 1: top-``k`` users for ``item`` by branch and bound.
 
         Returns ``(user_id, score)`` sorted by descending score then user
         id — the same order the sequential scan produces.  ``k == 0`` is
@@ -243,7 +263,7 @@ class CPPseIndex:
         The batch amortizes three costs the per-item path pays per call:
 
         - items are grouped by pseudo-query ``(category, producer, E u E')``
-          and duplicates answered by a single best-first search;
+          and duplicates answered by a single search;
         - ``(category, entity)`` hash-table probes are cached across the
           batch (tree location, step 1 of Algorithm 1);
         - per-block :class:`QuerySignature` encodings are cached, so items
@@ -285,52 +305,69 @@ class CPPseIndex:
         encode_cache: dict[tuple, QuerySignature] | None,
         query_key: tuple | None,
     ) -> list[tuple[int, float]]:
-        """One best-first search, optionally sharing per-batch caches."""
+        """One branch-and-bound search, optionally sharing per-batch caches.
+
+        Trees are visited best root bound first; each descends a level at a
+        time, evaluating the bounds of all children of the admitted nodes
+        in one array op, then scores the admitted leaf groups' rows in one
+        gather.  A node is admitted while its bound is within ``_TIE_EPS``
+        of the running k-th best, so the result is the exact top-``k`` of
+        the probed users whatever the visiting order.
+        """
         lambda_s = self.scorer.config.lambda_s
-        weighted = self.scorer.expanded_query(item)
         trees = self._locate_trees_cached(item, lookup_cache)
-        if not trees:
-            return []
-        counter = itertools.count()
-        # Best-first frontier: (-upper_bound, seq, node, query).
-        frontier: list = []
+        weighted = self.scorer.expanded_query(item)
+        probes: list[tuple[BlockStore, QuerySignature]] = []
         for block_id, tree in sorted(trees.items()):
-            if encode_cache is not None and query_key is not None:
-                cache_key = (block_id, query_key)
-                query = encode_cache.get(cache_key)
-                if query is None:
-                    query = QuerySignature.encode(item, weighted, tree.universe, block_id)
+            store = tree.store
+            if not store.n:
+                continue
+            cache_key = (block_id, query_key)
+            query = encode_cache.get(cache_key) if encode_cache is not None else None
+            if query is None:
+                query = QuerySignature.encode(item, weighted, store.universe, block_id)
+                if encode_cache is not None and query_key is not None:
                     encode_cache[cache_key] = query
-            else:
-                query = QuerySignature.encode(item, weighted, tree.universe, block_id)
-            bound = tree.root.relevance(query, lambda_s)
-            heapq.heappush(frontier, (-bound, next(counter), tree.root, query))
+            probes.append((store, query))
+        if not probes:
+            return []
+        roots = _root_bounds(probes, lambda_s)
         # Result heap U_k: min-heap on (score, -user_id); its root is the
         # pruning bound LB once full.
         result: list[tuple[float, int]] = []
-
-        def lb() -> float:
-            if len(result) < k:
-                return float("-inf")
-            return result[0][0]
-
-        while frontier:
-            neg_bound, _, node, query = heapq.heappop(frontier)
-            if -neg_bound < lb() - _TIE_EPS:
-                break  # all remaining bounds are no better
-            if node.is_leaf:
-                for entry in node.entries:
-                    score = entry.relevance(query, lambda_s)
-                    key = (score, -entry.user_id)
-                    if len(result) < k:
-                        heapq.heappush(result, key)
-                    elif key > result[0]:
-                        heapq.heapreplace(result, key)
-            else:
-                for child in node.children:
-                    bound = child.relevance(query, lambda_s)
-                    if bound >= lb() - _TIE_EPS:
-                        heapq.heappush(frontier, (-bound, next(counter), child, query))
+        bounds = len(probes)
+        scored = 0
+        for position in sorted(range(len(probes)), key=lambda i: -roots[i]):
+            if len(result) >= k and roots[position] < result[0][0] - _TIE_EPS:
+                break  # every remaining tree's bound is no better
+            store, query = probes[position]
+            nodes = np.zeros(1, dtype=np.intp)
+            for level in reversed(store.levels[:-1]):
+                nodes = group_ranges(nodes, store.fanout, len(level))
+                if len(result) >= k:
+                    bound = store.relevance(level, nodes, query, lambda_s)
+                    bounds += len(nodes)
+                    nodes = nodes[bound >= result[0][0] - _TIE_EPS]
+            rows = group_ranges(nodes, store.fanout, store.n)
+            if not len(rows):
+                continue
+            scores = store.relevance(store.rows, rows, query, lambda_s)
+            scored += len(rows)
+            user_ids = store.member_ids[rows]
+            if len(result) >= k:
+                keep = scores >= result[0][0]
+                scores, user_ids = scores[keep], user_ids[keep]
+            for score, user_id in zip(scores.tolist(), user_ids.tolist()):
+                key = (score, -user_id)
+                if len(result) < k:
+                    heapq.heappush(result, key)
+                elif key > result[0]:
+                    heapq.heapreplace(result, key)
+        stats = self.stats
+        stats.trees_probed += len(probes)
+        stats.bounds_evaluated += bounds
+        stats.leaves_scored += scored
+        stats.users_probed += sum(store.n for store, _ in probes)
         ranked = sorted(result, key=lambda su: (-su[0], -su[1]))
         return [(-neg_uid, score) for score, neg_uid in ranked]
 
@@ -344,98 +381,73 @@ class CPPseIndex:
         refresh + ancestor re-aggregation), new entities (reserved-zone
         claim + hash-table insertion, or block rebuild on overflow), new
         categories (lazy tree creation), and new users (block assignment +
-        leaf insertion).
+        leaf insertion).  Symbols, trees and blocks are settled user by
+        user; rows are then written per block from each user's own counts,
+        and each touched block re-aggregates its dirty leaf groups and
+        their ancestors once.
 
         Returns the number of profiles processed.
         """
         processed = 0
+        dirty: dict[int, dict[int, UserProfile]] = {}
         for user_id in user_ids:
             profile = self.profiles.get(user_id)
             if profile is None:
                 continue
+            processed += 1
             block_id = self.block_of_user.get(int(user_id))
             if block_id is None:
-                self._insert_new_user(profile)
+                block = assign_to_block(
+                    self.blocks,
+                    profile,
+                    self.n_categories,
+                    similarity_threshold=self.config.block_similarity_threshold,
+                    max_blocks=self.config.max_blocks,
+                )
+                block_id = block.block_id
+                if block_id not in self.stores:
+                    # assign_to_block opened a brand-new block; build it whole.
+                    self._build_block(block)
+                    continue
+                self.block_of_user[profile.user_id] = block_id
+            if self._claim_symbols(profile, self.blocks[block_id]):
+                dirty.setdefault(block_id, {})[profile.user_id] = profile
             else:
-                self._update_existing_user(profile, block_id)
-            processed += 1
+                # Reserved zone exhausted: rebuild with fresh capacity.  The
+                # rebuild writes every member's current row.
+                self._build_block(self.blocks[block_id])
+                self.stats.block_rebuilds += 1
+                dirty.pop(block_id, None)
+        for block_id in sorted(dirty):
+            self._refresh_rows(self.stores[block_id], list(dirty[block_id].values()))
         return processed
 
-    def _block_by_id(self, block_id: int) -> UserBlock:
-        return self.blocks[block_id]
-
-    def _update_existing_user(self, profile: UserProfile, block_id: int) -> None:
-        block = self._block_by_id(block_id)
-        universe = self.universes[block_id]
-        # New symbols browsed by this user claim reserved-zone slots; an
-        # exhausted zone triggers a full block rebuild with fresh capacity.
+    def _claim_symbols(self, profile: UserProfile, block: UserBlock) -> bool:
+        """Claim reserved-zone slots (plus hash entries) for the user's new
+        symbols and create trees for new categories.  False when the zone
+        overflowed: the block's sets then cover the profile, and the caller
+        rebuilds it."""
+        universe = self.stores[block.block_id].universe
         try:
-            new_entities = [
-                e for e in profile.entity_counts if universe.entity_slot(e) is None
-            ]
-            for entity_id in new_entities:
+            for entity_id in universe.unclaimed_entities(profile.entity_counts):
                 universe.add_entity(entity_id)
                 block.entity_ids.add(int(entity_id))
                 for category in sorted(block.categories):
-                    tree = self.trees.get((block_id, category))
+                    tree = self.trees.get((block.block_id, category))
                     if tree is not None:
-                        self.hash_table.insert(category, entity_id, block_id, tree)
-            for producer_id in list(profile.producer_counts):
-                if universe.producer_slot(producer_id) is None:
-                    universe.add_producer(producer_id)
-                    block.producer_ids.add(int(producer_id))
+                        self.hash_table.insert(category, entity_id, block.block_id, tree)
+            for producer_id in universe.unclaimed_producers(profile.producer_counts):
+                universe.add_producer(producer_id)
+                block.producer_ids.add(int(producer_id))
         except UniverseOverflow:
             block.entity_ids.update(profile.entity_counts)
             block.producer_ids.update(profile.producer_counts)
             block.categories.update(profile.category_counts)
-            self._rebuild_block(block)
-            return
-        # New categories browsed -> lazy tree creation for the block.
+            return False
         for category in profile.category_counts:
-            if (block_id, category) not in self.trees:
+            if (block.block_id, category) not in self.trees:
                 self._create_tree(block, category)
-        vector = UserVector.build(profile, universe, self.scorer)
-        self.vector_of_user[profile.user_id] = vector
-        long_dist = self.interest.long_term_distribution(profile)
-        short_dist = self.interest.short_term_distribution(profile)
-        for category in sorted(block.categories):
-            tree = self.trees.get((block_id, category))
-            if tree is None:
-                continue
-            updated = tree.update_entry(
-                profile.user_id, vector, float(long_dist[category]), float(short_dist[category])
-            )
-            if not updated:
-                tree.insert(
-                    LeafEntry(
-                        user_id=profile.user_id,
-                        vector=vector,
-                        p_long=float(long_dist[category]),
-                        p_short=float(short_dist[category]),
-                        profile=profile,
-                    )
-                )
-
-    def _insert_new_user(self, profile: UserProfile) -> None:
-        block = assign_to_block(
-            self.blocks,
-            profile,
-            self.n_categories,
-            similarity_threshold=self.config.block_similarity_threshold,
-            max_blocks=self.config.max_blocks,
-        )
-        if block.block_id not in self.universes:
-            # assign_to_block opened a brand-new block; build it whole.
-            self._build_block(block)
-            return
-        self.block_of_user[profile.user_id] = block.block_id
-        self._update_existing_user(profile, block.block_id)
-
-    def _rebuild_block(self, block: UserBlock) -> None:
-        """Drop and rebuild one block's universe, vectors and trees."""
-        for category in sorted(block.categories):
-            self.trees.pop((block.block_id, category), None)
-        self._build_block(block)
+        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -451,10 +463,44 @@ class CPPseIndex:
         """Users retrievable for ``item`` (tests compare scan over these)."""
         users: set[int] = set()
         for tree in self.locate_trees(item).values():
-            users.update(e.user_id for e in tree.all_entries())
+            users.update(tree.store.members().tolist())
         return users
 
     def check_invariants(self) -> None:
-        """Validate every tree's structure and aggregation (tests)."""
-        for tree in self.trees.values():
-            tree.check_invariants()
+        """Validate every store's aggregation and bookkeeping, every tree's
+        store pointer, and that each row carries its profile's current
+        version (holds once pending updates are maintained)."""
+        for block in self.blocks:
+            store = self.stores[block.block_id]
+            store.check_invariants()
+            if store.members().tolist() != list(block.user_ids):
+                raise AssertionError(f"block {block.block_id}: members out of sync")
+            for row, user_id in enumerate(block.user_ids):
+                if self.block_of_user.get(user_id) != block.block_id:
+                    raise AssertionError(f"user {user_id}: wrong block")
+                version = self.profiles.get(user_id).version
+                if store.versions[row] != version:
+                    raise AssertionError(
+                        f"user {user_id}: row version {store.versions[row]} != {version}"
+                    )
+        for (block_id, category), tree in self.trees.items():
+            if tree.store is not self.stores[block_id] or tree.category != category:
+                raise AssertionError(f"tree {(block_id, category)}: stale store")
+
+
+def _root_bounds(
+    probes: list[tuple[BlockStore, QuerySignature]], lambda_s: float
+) -> list[float]:
+    """Root IEntry bounds of every probed tree in one array op.
+
+    Queries against different blocks read different column counts; the
+    short ones are padded with zero-weight columns, which add exactly
+    ``+0.0`` to the entity sum.
+    """
+    width = max(len(query.columns) for _, query in probes)
+    sub = np.zeros((len(probes), width))
+    coeffs = np.zeros((len(probes), width - 3))
+    for i, (store, query) in enumerate(probes):
+        sub[i, : len(query.columns)] = store.levels[-1][0, query.columns]
+        coeffs[i, : len(query.coeffs)] = query.coeffs
+    return relevance_rows(sub, coeffs, lambda_s).tolist()

@@ -7,11 +7,8 @@ user profiles and a frequency-based encoding for queries".
   20% reserved growth zones ("following the classic technique for memory
   management in database systems, we reserve 20% space of each entry, and
   fill it with zones").
-- :class:`UserVector` — the impact lists ``P_Up`` / ``P_E`` of one user
-  (Dirichlet-smoothed ``p^(u^p|u)`` / ``p^(e|u)``) over the block universe,
-  plus the smoothing floors for out-of-universe symbols.  Shared by all of
-  the block's per-category trees (the per-category parts, ``p_l(c)`` and
-  ``p_s(c)``, live in the leaf entries).
+  The impact lists themselves (``P_Up`` / ``P_E`` per user, laid out over
+  these slots) are rows of :class:`repro.index.sigtree.BlockStore`.
 - :class:`QuerySignature` — the pseudo-query of an item against one block:
   per-universe-slot accumulated weight (frequency x expansion weight, as in
   Example 1) plus the total weight of out-of-universe query entities, which
@@ -25,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.matching import MatchingScorer
-from repro.core.profiles import UserProfile
 from repro.datasets.schema import SocialItem
 from repro.hmm.utils import PROB_FLOOR
 
@@ -78,6 +73,14 @@ class BlockUniverse:
     def entity_slot(self, entity_id: int) -> int | None:
         return self._entity_slot.get(int(entity_id))
 
+    def unclaimed_entities(self, entity_ids: Iterable[int]) -> list[int]:
+        """The ids among ``entity_ids`` without a slot, in iteration order."""
+        return [e for e in entity_ids if e not in self._entity_slot]
+
+    def unclaimed_producers(self, producer_ids: Iterable[int]) -> list[int]:
+        """The ids among ``producer_ids`` without a slot, in iteration order."""
+        return [p for p in producer_ids if p not in self._producer_slot]
+
     def entity_ids(self) -> list[int]:
         return list(self._entities)
 
@@ -119,62 +122,6 @@ class BlockUniverse:
 
 
 @dataclass
-class UserVector:
-    """Impact-encoded user statistics over a block universe.
-
-    Attributes:
-        user_id: the profiled consumer.
-        p_producer: smoothed ``p^(u^p|u)`` per producer slot (capacity-sized;
-            reserved-zone slots hold the unseen floor).
-        p_entity: smoothed ``p^(e|u)`` per entity slot.
-        floor_producer: smoothed probability of an unseen producer.
-        floor_entity: smoothed probability of an unseen entity.
-        version: profile version the vector was built from.
-    """
-
-    user_id: int
-    p_producer: np.ndarray
-    p_entity: np.ndarray
-    floor_producer: float
-    floor_entity: float
-    version: int
-
-    @classmethod
-    def build(
-        cls, profile: UserProfile, universe: BlockUniverse, scorer: MatchingScorer
-    ) -> "UserVector":
-        """Encode ``profile`` over ``universe`` with the scorer's smoothing.
-
-        Values are exactly :meth:`MatchingScorer.producer_probability` /
-        ``entity_probability`` — the index must score identically to the
-        sequential scan.
-        """
-        mu = scorer.config.dirichlet_mu
-        floor_p = (mu / scorer.n_producers) / (profile.n_long_events + mu)
-        floor_e = (mu / scorer.n_entities) / (profile.n_entity_tokens + mu)
-        p_producer = np.full(universe.producer_capacity, floor_p)
-        for producer_id, slot in universe._producer_slot.items():
-            count = profile.producer_counts.get(producer_id, 0)
-            p_producer[slot] = (count + mu / scorer.n_producers) / (
-                profile.n_long_events + mu
-            )
-        p_entity = np.full(universe.entity_capacity, floor_e)
-        for entity_id, slot in universe._entity_slot.items():
-            count = profile.entity_counts.get(entity_id, 0)
-            p_entity[slot] = (count + mu / scorer.n_entities) / (
-                profile.n_entity_tokens + mu
-            )
-        return cls(
-            user_id=profile.user_id,
-            p_producer=p_producer,
-            p_entity=p_entity,
-            floor_producer=floor_p,
-            floor_entity=floor_e,
-            version=profile.version,
-        )
-
-
-@dataclass
 class QuerySignature:
     """Pseudo-query of one item against one block (Example 1).
 
@@ -188,6 +135,11 @@ class QuerySignature:
             an impact list equals ``F . (W x P)`` of Definition 2.
         oov_weight: total weight of query entities outside the universe
             (scores against ``floor_entity``).
+        columns: the :class:`~repro.index.sigtree.BlockStore` columns a
+            score reads — ``p_l(c)``, the producer (or its floor),
+            ``p_s(c)``, the entity floor, then each entity slot.
+        coeffs: ``[oov_weight, weights...]`` against the entity-floor and
+            entity-slot columns.
     """
 
     block_id: int
@@ -195,6 +147,8 @@ class QuerySignature:
     producer_slot: int | None
     entity_weights: list[tuple[int, float]]
     oov_weight: float
+    columns: np.ndarray
+    coeffs: np.ndarray
 
     @classmethod
     def encode(
@@ -206,20 +160,30 @@ class QuerySignature:
     ) -> "QuerySignature":
         """Encode ``item`` (with its expanded weighted entity list) over a
         block universe."""
+        slot_of = universe._entity_slot.get
         slot_weight: dict[int, float] = {}
         oov = 0.0
         for entity_id, weight in weighted_entities:
-            slot = universe.entity_slot(entity_id)
+            slot = slot_of(entity_id)
             if slot is None:
                 oov += weight
             else:
                 slot_weight[slot] = slot_weight.get(slot, 0.0) + weight
+        entity_weights = sorted(slot_weight.items())
+        producer_slot = universe.producer_slot(item.producer)
+        floor_col = universe.producer_capacity + universe.entity_capacity
+        long_col = floor_col + 2 + 2 * int(item.category)
+        columns = [long_col, floor_col if producer_slot is None else producer_slot]
+        columns += [long_col + 1, floor_col + 1]
+        columns += [universe.producer_capacity + slot for slot, _ in entity_weights]
         return cls(
             block_id=int(block_id),
             category=int(item.category),
-            producer_slot=universe.producer_slot(item.producer),
-            entity_weights=sorted(slot_weight.items()),
+            producer_slot=producer_slot,
+            entity_weights=entity_weights,
             oov_weight=oov,
+            columns=np.array(columns, dtype=np.intp),
+            coeffs=np.array([oov] + [w for _, w in entity_weights], dtype=np.float64),
         )
 
     def entity_sum(self, p_entity: np.ndarray, floor_entity: float) -> float:
@@ -243,7 +207,8 @@ def relevance_from_parts(
     p_short: float,
     lambda_s: float,
 ) -> float:
-    """Definition 2 / Eq. 3 combination used by both leaves and IEntries."""
+    """Definition 2 / Eq. 3 for one user (scalar reference of the
+    vectorized :func:`repro.index.sigtree.relevance_rows`)."""
     long_score = (
         np.log(max(p_long, PROB_FLOOR))
         + np.log(max(p_producer, PROB_FLOOR))

@@ -1,331 +1,290 @@
-"""Extended signature tree: LEntry / IEntry nodes with max-aggregation.
+"""Extended signature trees over one flat store per user block.
 
 Section V-A: each tree stores the user profiles of one block under one
-category.  Leaf entries (LEntry) carry a user's impact-encoded statistics
-and a pointer to the profile record; internal entries (IEntry) are "virtual
-users whose interests cover all of their children", built by "applying
-max() to all children over their corresponding signature components".
+category.  Leaf entries (LEntry) carry a user's impact-encoded statistics;
+internal entries (IEntry) are "virtual users whose interests cover all of
+their children", built by "applying max() to all children over their
+corresponding signature components".
 
-Because every component of the relevance function (Def. 2) is monotone
-non-decreasing in the aggregated statistics, an IEntry's relevance upper
-bounds every descendant's (Lemmas 1-2) — the property the Algorithm 1
-branch-and-bound relies on for no-false-dismissal pruning.  Property-based
-tests assert both the aggregation invariant and the bound.
+Every tree of a block holds the same members, and only the ``p_l(c)`` /
+``p_s(c)`` components differ between categories, so the block keeps one
+:class:`BlockStore`: a row per member (producer impacts, entity impacts,
+the two smoothing floors, then ``p_l``/``p_s`` interleaved per category)
+plus level-wise max aggregates over fixed groups of ``fanout`` rows.  A
+(block, category) :class:`SignatureTree` is a column selection of that
+store.  Because every component of the relevance function (Def. 2) is
+monotone non-decreasing in the aggregated statistics, a node's relevance
+upper bounds every descendant's (Lemmas 1-2) — the property the
+Algorithm 1 branch-and-bound relies on for no-false-dismissal pruning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from itertools import chain, repeat
 
 import numpy as np
 
+from repro.core.matching import MatchingScorer
 from repro.core.profiles import UserProfile
-from repro.index.signature import (
-    BlockUniverse,
-    QuerySignature,
-    UserVector,
-    relevance_from_parts,
-)
+from repro.hmm.utils import PROB_FLOOR
+from repro.index.signature import BlockUniverse, QuerySignature
 
 
-@dataclass
-class LeafEntry:
-    """LEntry: one user's signature under this tree's category.
+def relevance_rows(sub: np.ndarray, coeffs: np.ndarray, lambda_s: float) -> np.ndarray:
+    """Def. 2 / Eq. 3 over rows gathered at a query's columns.
 
-    Attributes:
-        user_id: the consumer.
-        vector: block-level impact lists (shared across the block's trees).
-        p_long: BiHMM long-term ``p_l(c)`` for this tree's category.
-        p_short: BiHMM short-term ``p_s(c)`` for this tree's category.
-        profile: pointer to the user profile record (the paper attaches one
-            to every LEntry).
+    ``sub`` holds ``[p_long, p_producer, p_short, floor_entity, entities...]``
+    per row (:attr:`QuerySignature.columns`); ``coeffs`` the matching
+    ``[oov_weight, weights...]``.  The entity sum accumulates left to right,
+    slot by slot, in :meth:`QuerySignature.entity_sum`'s order, so a row's
+    score depends on nothing but the row.
     """
-
-    user_id: int
-    vector: UserVector
-    p_long: float
-    p_short: float
-    profile: UserProfile | None = None
-
-    def relevance(self, query: QuerySignature, lambda_s: float) -> float:
-        """Exact Eq. 3 score of this user for ``query``."""
-        return relevance_from_parts(
-            self.p_long,
-            query.producer_prob(self.vector.p_producer, self.vector.floor_producer),
-            query.entity_sum(self.vector.p_entity, self.vector.floor_entity),
-            self.p_short,
-            lambda_s,
-        )
+    entity_sum = np.add.accumulate(sub[:, 3:] * coeffs, axis=1)[:, -1]
+    logs = np.log(np.maximum(sub[:, :3], PROB_FLOOR))
+    long_score = logs[:, 0] + logs[:, 1] + np.log(np.maximum(entity_sum, PROB_FLOOR))
+    return (1.0 - lambda_s) * long_score + lambda_s * logs[:, 2]
 
 
-@dataclass
-class InternalNode:
-    """A tree node; its aggregate signature is the IEntry of Def. 2.
-
-    Leaf nodes hold :class:`LeafEntry` objects in ``entries``; internal
-    nodes hold child :class:`InternalNode` objects in ``children``.
-    """
-
-    is_leaf: bool
-    entries: list[LeafEntry] = field(default_factory=list)
-    children: list["InternalNode"] = field(default_factory=list)
-    parent: "InternalNode | None" = None
-    agg_p_long: float = 0.0
-    agg_p_short: float = 0.0
-    agg_p_producer: np.ndarray | None = None
-    agg_p_entity: np.ndarray | None = None
-    agg_floor_producer: float = 0.0
-    agg_floor_entity: float = 0.0
-
-    def recompute_aggregate(self) -> None:
-        """Rebuild this IEntry by max() over children components."""
-        if self.is_leaf:
-            members = self.entries
-            if not members:
-                self._zero_aggregate()
-                return
-            self.agg_p_long = max(e.p_long for e in members)
-            self.agg_p_short = max(e.p_short for e in members)
-            self.agg_p_producer = np.maximum.reduce([e.vector.p_producer for e in members])
-            self.agg_p_entity = np.maximum.reduce([e.vector.p_entity for e in members])
-            self.agg_floor_producer = max(e.vector.floor_producer for e in members)
-            self.agg_floor_entity = max(e.vector.floor_entity for e in members)
-        else:
-            kids = self.children
-            if not kids:
-                self._zero_aggregate()
-                return
-            self.agg_p_long = max(k.agg_p_long for k in kids)
-            self.agg_p_short = max(k.agg_p_short for k in kids)
-            self.agg_p_producer = np.maximum.reduce([k.agg_p_producer for k in kids])
-            self.agg_p_entity = np.maximum.reduce([k.agg_p_entity for k in kids])
-            self.agg_floor_producer = max(k.agg_floor_producer for k in kids)
-            self.agg_floor_entity = max(k.agg_floor_entity for k in kids)
-
-    def _zero_aggregate(self) -> None:
-        self.agg_p_long = 0.0
-        self.agg_p_short = 0.0
-        self.agg_p_producer = np.zeros(1)
-        self.agg_p_entity = np.zeros(1)
-        self.agg_floor_producer = 0.0
-        self.agg_floor_entity = 0.0
-
-    def relevance(self, query: QuerySignature, lambda_s: float) -> float:
-        """Upper-bound relevance of this subtree for ``query`` (Def. 2)."""
-        return relevance_from_parts(
-            self.agg_p_long,
-            query.producer_prob(self.agg_p_producer, self.agg_floor_producer),
-            query.entity_sum(self.agg_p_entity, self.agg_floor_entity),
-            self.agg_p_short,
-            lambda_s,
-        )
+def group_ranges(groups: np.ndarray, fanout: int, n_below: int) -> np.ndarray:
+    """Indices one level down covered by sorted ``groups`` (each spans
+    ``fanout``; only the level's last group can be partial)."""
+    covered = (groups[:, None] * fanout + np.arange(fanout)).ravel()
+    if len(groups) and (groups[-1] + 1) * fanout > n_below:
+        covered = covered[: len(covered) - (groups[-1] + 1) * fanout + n_below]
+    return covered
 
 
-class SignatureTree:
-    """One extended signature tree: (block, category) -> user signatures.
+class BlockStore:
+    """Member rows and level-wise aggregates of one block's signature trees.
 
     Args:
         block_id: owning block.
-        category: the tree's category ``c``.
-        universe: the block's shared symbol universe.
-        fanout: max entries per leaf node / children per internal node.
+        universe: the block's symbol universe (fixes the row layout).
+        n_categories: category count (``p_l``/``p_s`` column pairs).
+        fanout: rows per leaf group / groups per parent node.
     """
 
     def __init__(
-        self, block_id: int, category: int, universe: BlockUniverse, fanout: int = 8
+        self, block_id: int, universe: BlockUniverse, n_categories: int, fanout: int = 8
     ) -> None:
         if fanout < 2:
             raise ValueError(f"fanout must be >= 2, got {fanout}")
         self.block_id = int(block_id)
-        self.category = int(category)
         self.universe = universe
         self.fanout = int(fanout)
-        self.root = InternalNode(is_leaf=True)
-        self.root.recompute_aggregate()
-        self._leaf_node_of: dict[int, InternalNode] = {}
+        self.n_categories = int(n_categories)
+        self.entity_col = universe.producer_capacity
+        self.floor_col = self.entity_col + universe.entity_capacity
+        self.width = self.floor_col + 2 + 2 * self.n_categories
+        self.n = 0
+        self.rows = np.zeros((0, self.width))
+        self.member_ids = np.zeros(0, dtype=np.int64)
+        self.versions = np.zeros(0, dtype=np.int64)
+        self._row_of: dict[int, int] = {}
+        #: ``levels[0]`` aggregates leaf groups of rows; ``levels[-1]`` is the root.
+        self.levels: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def bulk_build(self, entries: list[LeafEntry]) -> None:
-        """Bottom-up bulk load: pack entries into leaf nodes, then stack
-        internal levels of ``fanout`` children until a single root remains."""
-        self._leaf_node_of.clear()
-        if not entries:
-            self.root = InternalNode(is_leaf=True)
-            self.root.recompute_aggregate()
-            return
-        ordered = sorted(entries, key=lambda e: e.user_id)
-        leaves: list[InternalNode] = []
-        for start in range(0, len(ordered), self.fanout):
-            node = InternalNode(is_leaf=True, entries=ordered[start : start + self.fanout])
-            node.recompute_aggregate()
-            for entry in node.entries:
-                self._leaf_node_of[entry.user_id] = node
-            leaves.append(node)
-        level = leaves
-        while len(level) > 1:
-            next_level: list[InternalNode] = []
-            for start in range(0, len(level), self.fanout):
-                children = level[start : start + self.fanout]
-                node = InternalNode(is_leaf=False, children=children)
-                for child in children:
-                    child.parent = node
-                node.recompute_aggregate()
-                next_level.append(node)
-            level = next_level
-        self.root = level[0]
-        self.root.parent = None
-
-    # ------------------------------------------------------------------
-    # Lookup / mutation
+    # Membership
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._leaf_node_of)
+        return self.n
 
     def __contains__(self, user_id: int) -> bool:
-        return int(user_id) in self._leaf_node_of
+        return int(user_id) in self._row_of
 
-    def find_leaf_entry(self, user_id: int) -> LeafEntry | None:
-        """Algorithm 2's ``find_leaf_entry``."""
-        node = self._leaf_node_of.get(int(user_id))
-        if node is None:
-            return None
-        for entry in node.entries:
-            if entry.user_id == int(user_id):
-                return entry
-        return None
+    def find(self, user_id: int) -> int | None:
+        """Algorithm 2's ``find_leaf_entry``: the user's row, or None."""
+        return self._row_of.get(int(user_id))
 
-    def _propagate_up(self, node: InternalNode | None) -> None:
-        while node is not None:
-            node.recompute_aggregate()
-            node = node.parent
+    def members(self) -> np.ndarray:
+        """Member user ids in row order."""
+        return self.member_ids[: self.n]
 
-    def update_entry(
-        self, user_id: int, vector: UserVector, p_long: float, p_short: float
-    ) -> bool:
-        """Refresh a user's LEntry and re-aggregate its ancestors
-        (Algorithm 2: "update LE and its ancestors").  False if absent."""
-        node = self._leaf_node_of.get(int(user_id))
-        if node is None:
-            return False
-        for entry in node.entries:
-            if entry.user_id == int(user_id):
-                entry.vector = vector
-                entry.p_long = float(p_long)
-                entry.p_short = float(p_short)
-                self._propagate_up(node)
-                return True
-        return False
+    def append(self, user_id: int) -> int:
+        """Claim a zeroed row for a new member (``insert_to_index``); the
+        caller writes it and re-aggregates."""
+        user_id = int(user_id)
+        if user_id in self._row_of:
+            raise ValueError(f"user {user_id} already indexed")
+        if self.n == len(self.rows):
+            grown = max(4, 2 * self.n)
+            self.rows = np.resize(self.rows, (grown, self.width))
+            self.member_ids = np.resize(self.member_ids, grown)
+            self.versions = np.resize(self.versions, grown)
+        row = self.n
+        self.rows[row] = 0.0
+        self.member_ids[row] = user_id
+        self.versions[row] = 0
+        self._row_of[user_id] = row
+        self.n += 1
+        return row
 
-    def insert(self, entry: LeafEntry) -> None:
-        """Insert a new user's LEntry (Algorithm 2's ``insert_to_index``).
+    # ------------------------------------------------------------------
+    # Row encoding (impact lists, Sec. V-B)
+    # ------------------------------------------------------------------
+    def write_profiles(
+        self,
+        rows: Sequence[int],
+        profiles: Sequence[UserProfile],
+        scorer: MatchingScorer,
+        long_dists: Sequence[np.ndarray],
+        short_dists: Sequence[np.ndarray],
+    ) -> None:
+        """Encode each profile into its row from the user's own counts.
 
-        Descends toward the least-populated leaf; a full leaf splits and the
-        split may cascade to the root (growing the tree by one level).
+        Values are exactly :meth:`MatchingScorer.producer_probability` /
+        ``entity_probability``; universe slots the user never browsed (and
+        the reserved zone) hold the user's unseen-symbol floor.
         """
-        if entry.user_id in self._leaf_node_of:
-            raise ValueError(f"user {entry.user_id} already indexed")
-        node = self.root
-        while not node.is_leaf:
-            node = min(node.children, key=lambda ch: _subtree_size(ch))
-        node.entries.append(entry)
-        self._leaf_node_of[entry.user_id] = node
-        if len(node.entries) > self.fanout:
-            self._split_leaf(node)
-        else:
-            self._propagate_up(node)
+        mu = scorer.config.dirichlet_mu
+        rows = np.asarray(rows, dtype=np.intp)
+        denom_p = np.array([p.n_long_events for p in profiles], dtype=np.float64) + mu
+        denom_e = np.array([p.n_entity_tokens for p in profiles], dtype=np.float64) + mu
+        base_p = mu / scorer.n_producers
+        base_e = mu / scorer.n_entities
+        block = self.rows
+        block[rows, self.floor_col] = base_p / denom_p
+        block[rows, self.floor_col + 1] = base_e / denom_e
+        block[rows, : self.entity_col] = block[rows, self.floor_col, None]
+        block[rows, self.entity_col : self.floor_col] = block[rows, self.floor_col + 1, None]
+        block[rows, self.floor_col + 2 :: 2] = np.array(long_dists)
+        block[rows, self.floor_col + 3 :: 2] = np.array(short_dists)
+        universe = self.universe
+        producers = [p.producer_counts for p in profiles]
+        entities = [p.entity_counts for p in profiles]
+        self._write_counts(rows, producers, universe._producer_slot, 0, base_p, denom_p)
+        self._write_counts(rows, entities, universe._entity_slot, self.entity_col, base_e, denom_e)
+        self.versions[rows] = [p.version for p in profiles]
 
-    def _split_leaf(self, node: InternalNode) -> None:
-        node.entries.sort(key=lambda e: e.user_id)
-        half = len(node.entries) // 2
-        sibling = InternalNode(is_leaf=True, entries=node.entries[half:])
-        node.entries = node.entries[:half]
-        for entry in sibling.entries:
-            self._leaf_node_of[entry.user_id] = sibling
-        node.recompute_aggregate()
-        sibling.recompute_aggregate()
-        self._attach_sibling(node, sibling)
-
-    def _attach_sibling(self, node: InternalNode, sibling: InternalNode) -> None:
-        parent = node.parent
-        if parent is None:
-            new_root = InternalNode(is_leaf=False, children=[node, sibling])
-            node.parent = new_root
-            sibling.parent = new_root
-            new_root.recompute_aggregate()
-            self.root = new_root
-            return
-        sibling.parent = parent
-        parent.children.append(sibling)
-        if len(parent.children) > self.fanout:
-            self._split_internal(parent)
-        else:
-            self._propagate_up(parent)
-
-    def _split_internal(self, node: InternalNode) -> None:
-        half = len(node.children) // 2
-        sibling = InternalNode(is_leaf=False, children=node.children[half:])
-        node.children = node.children[:half]
-        for child in sibling.children:
-            child.parent = sibling
-        node.recompute_aggregate()
-        sibling.recompute_aggregate()
-        self._attach_sibling(node, sibling)
+    def _write_counts(self, rows, counters, slot_of, offset, base, denom) -> None:
+        """Scatter ``(count + base) / denom`` of every in-universe symbol of
+        each row's counter into the row (one gather of all the counts)."""
+        sizes = [len(counts) for counts in counters]
+        total = sum(sizes)
+        keys = chain.from_iterable(counters)
+        slots = np.fromiter(map(slot_of.get, keys, repeat(-1)), np.intp, total)
+        counts = np.fromiter(chain.from_iterable(c.values() for c in counters), np.float64, total)
+        owner = np.repeat(np.arange(len(counters)), sizes)
+        seen = slots >= 0
+        owner = owner[seen]
+        self.rows[rows[owner], offset + slots[seen]] = (counts[seen] + base) / denom[owner]
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Aggregation (IEntries)
     # ------------------------------------------------------------------
-    def all_entries(self) -> list[LeafEntry]:
-        """Every LEntry in the tree (user-id order)."""
-        out: list[LeafEntry] = []
+    def _level_sizes(self) -> list[int]:
+        """Node count per level, leaf groups first (none when empty)."""
+        sizes: list[int] = []
+        size = self.n
+        while size > 1 or (size and not sizes):
+            size = -(-size // self.fanout)
+            sizes.append(size)
+        return sizes
 
-        def walk(node: InternalNode) -> None:
-            if node.is_leaf:
-                out.extend(node.entries)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return sorted(out, key=lambda e: e.user_id)
-
-    def height(self) -> int:
-        """Levels from root to leaves (1 for a single leaf root)."""
-        h = 1
-        node = self.root
-        while not node.is_leaf:
-            h += 1
-            node = node.children[0]
-        return h
+    def reaggregate(self, rows: Sequence[int] | None = None) -> int:
+        """Recompute the IEntries over ``rows`` (leaf groups and ancestors),
+        or every level when ``rows`` is None or membership changed the
+        level shapes.  Returns the number of nodes recomputed."""
+        sizes = self._level_sizes()
+        below = self.rows[: self.n]
+        if rows is None or sizes != [len(level) for level in self.levels]:
+            self.levels = []
+            for _ in sizes:
+                below = np.maximum.reduceat(below, np.arange(0, len(below), self.fanout), axis=0)
+                self.levels.append(below)
+            return sum(sizes)
+        nodes = np.unique(np.asarray(rows, dtype=np.intp) // self.fanout)
+        total = 0
+        for level in self.levels:
+            covered = group_ranges(nodes, self.fanout, len(below))
+            starts = np.searchsorted(covered, nodes * self.fanout)
+            level[nodes] = np.maximum.reduceat(below[covered], starts, axis=0)
+            total += len(nodes)
+            below = level
+            nodes = np.unique(nodes // self.fanout)
+        return total
 
     def check_invariants(self) -> None:
-        """Assert structural + aggregation invariants (tests call this)."""
+        """Assert membership bookkeeping and that every IEntry is exactly
+        the max over its children (bitwise)."""
+        if sorted(self._row_of.values()) != list(range(self.n)):
+            raise AssertionError(f"block {self.block_id}: row map out of sync")
+        for uid, row in self._row_of.items():
+            if self.member_ids[row] != uid:
+                raise AssertionError(f"block {self.block_id}: row {row} is not user {uid}")
+        stored = [level.copy() for level in self.levels]
+        self.reaggregate()
+        if len(stored) != len(self.levels) or not all(
+            np.array_equal(a, b) for a, b in zip(stored, self.levels)
+        ):
+            raise AssertionError(f"block {self.block_id}: stale aggregate")
 
-        def walk(node: InternalNode) -> None:
-            before = (
-                node.agg_p_long,
-                node.agg_p_short,
-                None if node.agg_p_producer is None else node.agg_p_producer.copy(),
-                None if node.agg_p_entity is None else node.agg_p_entity.copy(),
-            )
-            node.recompute_aggregate()
-            if abs(before[0] - node.agg_p_long) > 1e-12 or abs(before[1] - node.agg_p_short) > 1e-12:
-                raise AssertionError("stale scalar aggregate")
-            if before[2] is not None and not np.allclose(before[2], node.agg_p_producer):
-                raise AssertionError("stale producer aggregate")
-            if before[3] is not None and not np.allclose(before[3], node.agg_p_entity):
-                raise AssertionError("stale entity aggregate")
-            if not node.is_leaf:
-                for child in node.children:
-                    if child.parent is not node:
-                        raise AssertionError("broken parent pointer")
-                    walk(child)
+    # ------------------------------------------------------------------
+    # Column views (tests, introspection)
+    # ------------------------------------------------------------------
+    @property
+    def p_producer(self) -> np.ndarray:
+        return self.rows[: self.n, : self.entity_col]
 
-        walk(self.root)
+    @property
+    def p_entity(self) -> np.ndarray:
+        return self.rows[: self.n, self.entity_col : self.floor_col]
+
+    @property
+    def floor_producer(self) -> np.ndarray:
+        return self.rows[: self.n, self.floor_col]
+
+    @property
+    def floor_entity(self) -> np.ndarray:
+        return self.rows[: self.n, self.floor_col + 1]
+
+    @property
+    def p_long(self) -> np.ndarray:
+        return self.rows[: self.n, self.floor_col + 2 :: 2]
+
+    @property
+    def p_short(self) -> np.ndarray:
+        return self.rows[: self.n, self.floor_col + 3 :: 2]
+
+    # ------------------------------------------------------------------
+    # Scoring
+    # ------------------------------------------------------------------
+    def relevance(
+        self, matrix: np.ndarray, index: np.ndarray, query: QuerySignature, lambda_s: float
+    ) -> np.ndarray:
+        """Relevance of rows ``index`` of ``matrix`` (member rows for exact
+        scores, a level for IEntry upper bounds) in one gather."""
+        return relevance_rows(matrix[index[:, None], query.columns], query.coeffs, lambda_s)
 
 
-def _subtree_size(node: InternalNode) -> int:
-    if node.is_leaf:
-        return len(node.entries)
-    return sum(_subtree_size(child) for child in node.children)
+class SignatureTree:
+    """One extended signature tree: the (block, category) view of a store.
+
+    Hash-table ``sptr`` entries point here; the store behind it is shared by
+    every category tree of the block.
+    """
+
+    def __init__(self, store: BlockStore, category: int) -> None:
+        self.store = store
+        self.category = int(category)
+
+    @property
+    def universe(self) -> BlockUniverse:
+        return self.store.universe
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    def __contains__(self, user_id: int) -> bool:
+        return user_id in self.store
+
+    def height(self) -> int:
+        """Levels from root to leaf groups (1 for a single leaf root)."""
+        return len(self.store.levels)
+
+    def root_bound(self, query: QuerySignature, lambda_s: float) -> float:
+        """The root IEntry's upper-bound relevance for ``query`` (Def. 2)."""
+        root = self.store.levels[-1]
+        return float(self.store.relevance(root, np.zeros(1, dtype=np.intp), query, lambda_s)[0])

@@ -2,7 +2,7 @@
 
 The thread backend of :class:`~repro.serve.service.ShardedRecommender`
 fans queries out on a ``ThreadPoolExecutor``, but the scoring work inside a
-shard is largely GIL-bound Python (best-first tree search, per-pair
+shard is largely GIL-bound Python (the per-query tree search, per-pair
 arithmetic), so threads barely parallelize it.  A :class:`ShardWorkerPool`
 hosts every shard in its *own process* instead — the Storm-worker layout
 the paper deploys on — so N shards score on N cores.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.profiles import ProfileEvent
-from repro.datasets.schema import SocialItem
+from repro.datasets.schema import Interaction, SocialItem
+from repro.index.signature import QuerySignature
 
 
 def scan_restricted_to(recommender, item, users, k):
@@ -19,7 +20,11 @@ class TestBuild:
         assert set(index.block_of_user) == {
             p.user_id for p in fitted_ssrec_indexed.profiles
         }
-        assert set(index.vector_of_user) == set(index.block_of_user)
+        for user_id, block_id in index.block_of_user.items():
+            store = index.stores[block_id]
+            row = store.find(user_id)
+            assert row is not None
+            assert store.versions[row] == fitted_ssrec_indexed.profiles.get(user_id).version
 
     def test_trees_cover_block_categories(self, fitted_ssrec_indexed):
         index = fitted_ssrec_indexed.index
@@ -174,7 +179,9 @@ class TestMaintenance:
         assert new_user in rec.index.block_of_user
         block_id = rec.index.block_of_user[new_user]
         tree = rec.index.trees[(block_id, item.category)]
-        assert tree.find_leaf_entry(new_user) is not None
+        assert new_user in tree
+        assert tree.store.find(new_user) is not None
+        rec.index.check_invariants()
 
     def test_new_entity_extends_universe_and_hash(self, fresh_ssrec_indexed, ytube_small):
         rec = fresh_ssrec_indexed
@@ -230,3 +237,89 @@ class TestMaintenance:
 
     def test_maintain_unknown_user_is_noop(self, fresh_ssrec_indexed):
         assert fresh_ssrec_indexed.index.maintain([99_999_999]) == 0
+
+
+class TestFlatStoreMaintenance:
+    def _flush_events(self, rec, user_id, item, times):
+        for _ in range(times):
+            rec.profiles.record(
+                user_id,
+                ProfileEvent(
+                    category=item.category,
+                    producer=item.producer,
+                    item_id=item.item_id,
+                    entities=item.entities,
+                ),
+            )
+
+    def test_phantom_category_tree_stays_fresh(self, fresh_ssrec_indexed, ytube_small):
+        """A block built with no categories gets a category-0 tree that is
+        not in ``block.categories``; maintenance must still refresh what it
+        reads (it is a view of the block's rows, like every other tree)."""
+        rec = fresh_ssrec_indexed
+        index = rec.index
+        block_id = next(
+            b for b, c in index.trees if c == 0 and 0 not in index.blocks[b].categories
+        )
+        user_id = index.blocks[block_id].user_ids[0]
+        item = next(it for it in ytube_small.items if it.category == 0 and it.entities)
+        self._flush_events(rec, user_id, item, rec.profiles.window_size)
+        index.maintain([user_id])
+        index.check_invariants()
+        profile = rec.profiles.get(user_id)
+        tree = index.trees[(block_id, 0)]
+        row = np.array([tree.store.find(user_id)])
+        query = QuerySignature.encode(
+            item, rec.scorer.expanded_query(item), tree.universe, block_id
+        )
+        score = tree.store.relevance(tree.store.rows, row, query, rec.config.lambda_s)[0]
+        assert score == pytest.approx(rec.scorer.score(item, profile), abs=1e-9)
+        assert tree.store.versions[row[0]] == profile.version
+
+    def test_stale_row_fails_invariants(self, fresh_ssrec_indexed, ytube_small):
+        rec = fresh_ssrec_indexed
+        user_id = rec.index.blocks[0].user_ids[0]
+        self._flush_events(rec, user_id, ytube_small.items[0], 1)
+        with pytest.raises(AssertionError, match="row version"):
+            rec.index.check_invariants()
+        rec.index.maintain([user_id])
+        rec.index.check_invariants()
+
+    def test_maintain_refreshes_each_block_once(self, fresh_ssrec_indexed, ytube_small):
+        rec = fresh_ssrec_indexed
+        index = rec.index
+        block = max(index.blocks, key=lambda b: len(b.user_ids))
+        users = block.user_ids[:3]
+        for user_id in users:
+            self._flush_events(rec, user_id, ytube_small.items[1], 1)
+        before = index.stats.nodes_reaggregated
+        assert index.maintain(users) == len(users)
+        # One pass over the dirty leaf groups and their ancestors.
+        assert index.stats.nodes_reaggregated - before <= sum(
+            len(level) for level in index.stores[block.block_id].levels
+        )
+        assert index.stats.rows_refreshed == len(users)
+        index.check_invariants()
+
+
+class TestIndexCounters:
+    def test_counters_reach_the_plan_registry(self, fresh_ssrec_indexed, ytube_stream):
+        rec = fresh_ssrec_indexed
+        items = ytube_stream.items_in_partition(2)[:6]
+        rec.recommend_batch(items, 10)
+        item = items[0]
+        user_id = next(iter(rec.index.block_of_user))
+        rec.update(Interaction(user_id, item.item_id, item.category, item.producer, 1.0), item)
+        rec.run_maintenance()
+        dump = rec.obs_registry().to_dict()
+        counters = {metric["name"]: metric["value"] for metric in dump["counters"]}
+        stats = rec.index.stats
+        assert counters["index.trees_probed"] == stats.trees_probed > 0
+        assert counters["index.leaves_scored"] == stats.leaves_scored > 0
+        assert counters["index.bounds_evaluated"] >= stats.trees_probed
+        assert counters["index.maintain.rows_refreshed"] == 1
+        assert counters["index.maintain.nodes_reaggregated"] >= 1
+        assert counters["index.maintain.block_rebuilds"] == 0
+        gauges = {metric["name"]: metric["value"] for metric in dump["gauges"]}
+        assert 0.0 <= gauges["index.pruned_frac"] < 1.0
+        assert stats.leaves_scored <= stats.users_probed

@@ -8,9 +8,23 @@ from repro.index.signature import (
     BlockUniverse,
     QuerySignature,
     UniverseOverflow,
-    UserVector,
     relevance_from_parts,
 )
+from repro.index.sigtree import BlockStore, relevance_rows
+
+
+def encode_row(profile, universe, rec):
+    """One user's impact-encoded row (the "user vector") in a fresh store."""
+    store = BlockStore(0, universe, rec.interest.n_categories)
+    row = store.append(profile.user_id)
+    store.write_profiles(
+        [row],
+        [profile],
+        rec.scorer,
+        [rec.interest.long_term_distribution(profile)],
+        [rec.interest.short_term_distribution(profile)],
+    )
+    return store, row
 
 
 class TestBlockUniverse:
@@ -54,23 +68,24 @@ class TestBlockUniverse:
 
 
 class TestUserVector:
+    """A member row of :class:`BlockStore` encodes the user's impact lists."""
+
     def test_values_match_reference_scorer(self, fitted_ssrec):
         scorer = fitted_ssrec.scorer
         profile = next(p for p in fitted_ssrec.profiles if p.n_long_events >= 5)
         producer_ids = list(profile.producer_counts)[:3] or [0]
         entity_ids = list(profile.entity_counts)[:5] or [0]
         universe = BlockUniverse(producer_ids, entity_ids, slack=0.2)
-        vector = UserVector.build(profile, universe, scorer)
+        store, row = encode_row(profile, universe, fitted_ssrec)
         for pid in producer_ids:
             slot = universe.producer_slot(pid)
-            assert vector.p_producer[slot] == pytest.approx(
-                scorer.producer_probability(profile, pid)
-            )
+            assert store.p_producer[row, slot] == scorer.producer_probability(profile, pid)
         for eid in entity_ids:
             slot = universe.entity_slot(eid)
-            assert vector.p_entity[slot] == pytest.approx(
-                scorer.entity_probability(profile, eid)
-            )
+            assert store.p_entity[row, slot] == scorer.entity_probability(profile, eid)
+        long_dist = fitted_ssrec.interest.long_term_distribution(profile)
+        assert np.array_equal(store.p_long[row], long_dist)
+        assert store.versions[row] == profile.version
 
     def test_floors_match_unseen_probability(self, fitted_ssrec):
         scorer = fitted_ssrec.scorer
@@ -82,20 +97,42 @@ class TestUserVector:
             e for e in range(scorer.n_entities) if e not in profile.entity_counts
         )
         universe = BlockUniverse([0], [0], slack=0.2)
-        vector = UserVector.build(profile, universe, scorer)
-        assert vector.floor_producer == pytest.approx(
+        store, row = encode_row(profile, universe, fitted_ssrec)
+        assert store.floor_producer[row] == pytest.approx(
             scorer.producer_probability(profile, unseen_producer)
         )
-        assert vector.floor_entity == pytest.approx(
+        assert store.floor_entity[row] == pytest.approx(
             scorer.entity_probability(profile, unseen_entity)
         )
 
     def test_reserved_slots_hold_floor(self, fitted_ssrec):
         profile = next(iter(fitted_ssrec.profiles))
         universe = BlockUniverse([0], [0, 1], slack=0.5)
-        vector = UserVector.build(profile, universe, fitted_ssrec.scorer)
+        store, row = encode_row(profile, universe, fitted_ssrec)
         for slot in range(universe.n_entities, universe.entity_capacity):
-            assert vector.p_entity[slot] == pytest.approx(vector.floor_entity)
+            assert store.p_entity[row, slot] == store.floor_entity[row]
+
+    def test_row_score_matches_scalar_reference(self, fitted_ssrec, ytube_small):
+        """The vectorized relevance of a row is bitwise the scalar
+        Def. 2 combination over the same parts."""
+        profile = next(p for p in fitted_ssrec.profiles if p.n_long_events >= 5)
+        universe = BlockUniverse(profile.producer_counts, profile.entity_counts, slack=0.2)
+        store, row = encode_row(profile, universe, fitted_ssrec)
+        for item in ytube_small.items[:10]:
+            weighted = fitted_ssrec.scorer.expanded_query(item)
+            query = QuerySignature.encode(item, weighted, universe, 0)
+            sub = store.rows[[row]][:, query.columns]
+            got = relevance_rows(sub, query.coeffs, 0.4)[0]
+            entity_sum = query.entity_sum(store.p_entity[row], store.floor_entity[row])
+            assert entity_sum == np.add.accumulate(sub[0, 3:] * query.coeffs)[-1]
+            want = relevance_from_parts(
+                store.p_long[row, item.category],
+                query.producer_prob(store.p_producer[row], store.floor_producer[row]),
+                entity_sum,
+                store.p_short[row, item.category],
+                0.4,
+            )
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def make_item(item_id=0, category=1, producer=2, entities=(10, 10, 20)):

@@ -6,6 +6,8 @@ linearity, partition-protocol conservation laws, and synthesizer support
 constraints.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -535,3 +537,109 @@ class TestHistogramMergeAlgebra:
         shipped = MetricsRegistry.from_dict(registry(left_samples, "0").to_dict())
         shipped.merge(MetricsRegistry.from_dict(registry(right_samples, "1").to_dict()))
         assert shipped.to_dict() == direct.to_dict()
+
+
+@pytest.fixture(scope="module")
+def indexed_template(ytube_small, ytube_stream):
+    """Pickled fitted index-mode recommender; each example mutates a copy."""
+    from repro.core.ssrec import SsRecRecommender
+
+    rec = SsRecRecommender(config=SsRecConfig(), use_index=True, seed=1)
+    rec.fit(ytube_small, ytube_stream.training_interactions())
+    return pickle.dumps(rec)
+
+
+def _symbol_view(store, level: np.ndarray) -> dict:
+    """A store matrix keyed by symbol id rather than slot (universes grown by
+    reserved-zone claims and rebuilt ones order their slots differently)."""
+    universe = store.universe
+    view = {("floors",): level[:, store.floor_col :]}
+    for producer in universe.producer_ids():
+        view[("p", producer)] = level[:, universe.producer_slot(producer)]
+    for entity in universe.entity_ids():
+        view[("e", entity)] = level[:, store.entity_col + universe.entity_slot(entity)]
+    return view
+
+
+class TestIndexMaintenanceModel:
+    """Algorithm 2 against a fresh build: random maintenance batches (new
+    users, new entities, a reserved-zone overflow, a new category) must
+    leave every block store bitwise equal to ``build_from_blocks`` on the
+    same blocks, and Algorithm 1 exact over the probed users."""
+
+    OPS = ("update", "new_user", "new_entity", "overflow", "new_category")
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.lists(st.sampled_from(OPS), min_size=1, max_size=10),
+    )
+    def test_maintain_matches_fresh_build(self, indexed_template, ytube_small, seed, ops):
+        from repro.core.profiles import ProfileEvent
+        from repro.index.cppse import CPPseIndex
+        from repro.sim.oracle import OracleMatcher, matches_within_ties
+
+        rec = pickle.loads(indexed_template)
+        index = rec.index
+        rng = np.random.default_rng(seed)
+        items = ytube_small.items
+        users = sorted(index.block_of_user)
+        window = rec.profiles.window_size
+        touched: set[int] = set()
+        fresh_symbol = 10**7 + seed * 1000
+
+        def browse(user_id, item, times):
+            for _ in range(times):
+                rec.profiles.record(
+                    user_id,
+                    ProfileEvent(item.category, item.producer, item.item_id, item.entities),
+                )
+            touched.add(user_id)
+
+        for op in ops:
+            user_id = int(rng.choice(users))
+            item = items[int(rng.integers(len(items)))]
+            if op == "update":
+                browse(user_id, item, int(rng.integers(1, 2 * window)))
+            elif op == "new_user":
+                browse(max(users + sorted(touched)) + 1, item, window)
+            elif op in ("new_entity", "overflow"):
+                universe = index.stores[index.block_of_user[user_id]].universe
+                count = 1 if op == "new_entity" else universe.entity_capacity
+                for _ in range(count):
+                    fresh_symbol += 1
+                    browse(user_id, SocialItem(fresh_symbol, item.category, item.producer,
+                                               (fresh_symbol,), "", 0.0), 1)
+                browse(user_id, item, window)  # flush the window into L
+            else:
+                block = index.blocks[index.block_of_user[user_id]]
+                missing = [c for c in range(index.n_categories) if c not in block.categories]
+                category = missing[0] if missing else item.category
+                browse(user_id, SocialItem(item.item_id, category, item.producer,
+                                           item.entities, "", 0.0), window)
+        index.maintain(sorted(touched))
+        index.check_invariants()
+
+        fresh = CPPseIndex.build_from_blocks(
+            rec.profiles, rec.scorer, index.n_categories, pickle.loads(pickle.dumps(index.blocks)),
+            config=rec.config,
+        )
+        for block in index.blocks:
+            got, want = index.stores[block.block_id], fresh.stores[block.block_id]
+            assert got.members().tolist() == want.members().tolist()
+            assert got.versions[: got.n].tolist() == want.versions[: want.n].tolist()
+            assert len(got.levels) == len(want.levels)
+            for level_got, level_want in zip([got.rows[: got.n], *got.levels],
+                                             [want.rows[: want.n], *want.levels]):
+                view_got = _symbol_view(got, level_got)
+                view_want = _symbol_view(want, level_want)
+                assert view_got.keys() == view_want.keys()
+                for key, column in view_want.items():
+                    assert np.array_equal(view_got[key], column), (block.block_id, key)
+            for category in block.categories:
+                assert (block.block_id, category) in index.trees
+
+        oracle = OracleMatcher(rec.scorer, rec.profiles)
+        for item in items[:6]:
+            probed = index.users_in_probed_trees(item)
+            assert matches_within_ties(index.knn(item, 10), oracle.top_k(item, 10, probed))
