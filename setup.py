@@ -4,12 +4,6 @@ The environment has setuptools but no ``wheel`` package, which breaks the
 PEP 660 editable path (``bdist_wheel``).  ``pip install -e . --no-build-isolation
 --no-use-pep517`` (or plain ``pip install -e .`` on newer toolchains) works
 through this shim.
-
-Extras:
-    native: numba, for the compiled scoring kernels
-        (:mod:`repro.core.kernels`; ``scoring: "native"``).  Optional —
-        without it the native plans serve through the bit-identical
-        vectorized fallback.
 """
 
 from setuptools import find_packages, setup
@@ -20,5 +14,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy"],
-    extras_require={"native": ["numba"]},
 )

@@ -20,13 +20,6 @@ SHARD_STRATEGIES = ("hash", "block")
 #: (:mod:`repro.serve.shmem`).
 SERVE_BACKENDS = ("sequential", "thread", "process", "shmem")
 
-#: Scoring backends of the serving paths: ``"vectorized"`` is the NumPy
-#: batch scorer (:class:`~repro.core.matching.VectorizedMatcher`),
-#: ``"native"`` the fused compiled kernels (:mod:`repro.core.kernels`,
-#: numba-backed — an optional extra; serving falls back to the
-#: vectorized path, bit-identically, when the kernels are unavailable).
-SCORING_BACKENDS = ("vectorized", "native")
-
 #: Near-duplicate collapse modes of the serving paths
 #: (:mod:`repro.exec.dedup`): ``"off"`` scores every delivery,
 #: ``"exact"`` collapses uploads whose resolved scorer inputs are
@@ -94,14 +87,6 @@ class SsRecConfig:
             serving (conformance-enforced); only repeated deliveries get
             cheaper.
         result_cache_size: LRU capacity of the plan-level result cache.
-        scoring: scoring backend of the serving paths — ``"vectorized"``
-            (the NumPy batch scorer) or ``"native"`` (the fused
-            numba kernels of :mod:`repro.core.kernels`; selects the
-            ``*-native`` execution plans).  Native scores agree with
-            vectorized within the 1e-9 tie discipline (scalar vs SIMD
-            ``log``, ULP-level only); when the compiled kernels are
-            unavailable the native plans serve through the vectorized
-            pipeline bit-identically, with a one-time warning.
         dedup: near-duplicate upload collapse ahead of scoring — ``"off"``,
             ``"exact"`` (provable-equality collapse; results stay
             bit-identical to undeduped serving, conformance-enforced) or
@@ -143,7 +128,6 @@ class SsRecConfig:
     serve_backend: str = "sequential"
     result_cache: bool = False
     result_cache_size: int = 256
-    scoring: str = "vectorized"
     dedup: str = "off"
     dedup_threshold: float = 0.6
     dedup_bands: int = 8
@@ -185,10 +169,6 @@ class SsRecConfig:
         if self.result_cache_size < 1:
             raise ValueError(
                 f"result_cache_size must be >= 1, got {self.result_cache_size}"
-            )
-        if self.scoring not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {self.scoring!r}"
             )
         if self.dedup not in DEDUP_MODES:
             raise ValueError(

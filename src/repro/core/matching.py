@@ -286,9 +286,8 @@ class VectorizedMatcher:
     def user_id_array(self) -> np.ndarray:
         """Row-aligned user ids as one cached integer array.
 
-        Shared by the selection path and the native kernels
-        (:mod:`repro.core.kernels`), which break score ties on user id —
-        never on the matcher's internal row order.
+        The selection path breaks score ties on these ids — never on the
+        matcher's internal row order.
         """
         if self._user_id_array is None or self._user_id_array.size != len(self._user_ids):
             self._user_id_array = np.asarray(self._user_ids, dtype=np.int64)

@@ -73,7 +73,6 @@ class SsRecRecommender:
         # and the plan-level result cache for the *-cached plan variants.
         self.exec_epoch = 0
         self._result_cache_enabled = self.config.result_cache
-        self._scoring = self.config.scoring
         self._dedup_mode = self.config.dedup
         self._compiled = None  # CompiledPlan, built lazily per current state
 
@@ -309,29 +308,10 @@ class SsRecRecommender:
                 use_index=self.index is not None,
                 placement=Placement.local(),
                 cached=self._result_cache_enabled,
-                scoring=self._scoring,
                 dedup=self._dedup_mode,
             )
             self._compiled = compile_plan(plan, self)
         return self._compiled
-
-    def set_scoring(self, mode: str) -> "SsRecRecommender":
-        """Switch the scoring backend (``"vectorized"`` / ``"native"``).
-
-        Selects the matching plan family on the next serve; ``"native"``
-        falls back to the vectorized pipeline (bit-identically, with a
-        one-time warning) when the compiled kernels are unavailable —
-        see :mod:`repro.core.kernels`.
-        """
-        from repro.core.config import SCORING_BACKENDS
-
-        if mode not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {mode!r}"
-            )
-        self._scoring = mode
-        self._compiled = None
-        return self
 
     def enable_result_cache(self, enabled: bool = True) -> "SsRecRecommender":
         """Switch serving to (or from) the ``*-cached`` plan variant.

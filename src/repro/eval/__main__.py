@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dataset",
         default="YTube",
-        choices=["YTube", "SynYTube", "MLens", "SynMLens"],
+        choices=ex.DATASET_NAMES,
         help="dataset for single-dataset experiments (default: YTube)",
     )
     parser.add_argument(
@@ -251,11 +251,12 @@ def main(argv: list[str] | None = None) -> int:
         print(result.to_text())
         # Non-zero exit on any divergence: CI gates on this.
         return 0 if result.total_divergences == 0 else 1
-    datasets = ex.make_datasets(args.scale, seed=args.seed)
     if args.experiment == "fig11":
+        datasets = ex.make_datasets(args.scale, seed=args.seed)
         print(ex.run_fig11(datasets, seed=args.seed).to_text())
         return 0
-    dataset = datasets[args.dataset]
+    # Single-dataset experiments build only the dataset they use.
+    dataset = ex.make_dataset(args.dataset, args.scale, seed=args.seed)
     # One --seed drives both the dataset generators above and the model
     # initialization inside every driver — a run is reproducible from the
     # command line alone.

@@ -59,6 +59,37 @@ DEFAULT_KS = (5, 10, 20, 30)
 # ----------------------------------------------------------------------
 # Dataset bundles
 # ----------------------------------------------------------------------
+DATASET_NAMES = ("YTube", "SynYTube", "MLens", "SynMLens")
+
+
+def _base_configs(scale: str, seed: int) -> tuple[YTubeConfig, MLensConfig]:
+    """The YTube and MLens generator configs of one scale."""
+    if scale == "small":
+        return YTubeConfig.small(seed), MLensConfig.small(seed + 6)
+    if scale == "default":
+        return YTubeConfig(seed=seed), MLensConfig(seed=seed + 6)
+    if scale == "paper_shape":
+        return YTubeConfig.paper_shape(seed), MLensConfig.paper_shape(seed + 6)
+    raise ValueError(f"unknown scale {scale!r}")
+
+
+def make_dataset(name: str, scale: str = "small", seed: int = 7) -> Dataset:
+    """One of the four Table-III datasets, built alone.
+
+    Equal to ``make_datasets(scale, seed)[name]``: every dataset has its
+    own generator seed, so building one never needs the others (a
+    ``Syn*`` dataset builds only its base).
+    """
+    if name not in DATASET_NAMES:
+        raise ValueError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    yt_cfg, ml_cfg = _base_configs(scale, seed)
+    if name.endswith("YTube"):
+        base, syn_seed = generate_ytube(yt_cfg), seed + 100
+    else:
+        base, syn_seed = generate_mlens(ml_cfg), seed + 200
+    return synthesize_dataset(base, seed=syn_seed) if name.startswith("Syn") else base
+
+
 def make_datasets(scale: str = "small", seed: int = 7) -> dict[str, Dataset]:
     """The paper's four datasets (Table III) at a given scale.
 
@@ -66,14 +97,7 @@ def make_datasets(scale: str = "small", seed: int = 7) -> dict[str, Dataset]:
         scale: ``"small"`` (tests), ``"default"`` (benchmarks) or
             ``"paper_shape"`` (paper category counts, laptop sizes).
     """
-    if scale == "small":
-        yt_cfg, ml_cfg = YTubeConfig.small(seed), MLensConfig.small(seed + 6)
-    elif scale == "default":
-        yt_cfg, ml_cfg = YTubeConfig(seed=seed), MLensConfig(seed=seed + 6)
-    elif scale == "paper_shape":
-        yt_cfg, ml_cfg = YTubeConfig.paper_shape(seed), MLensConfig.paper_shape(seed + 6)
-    else:
-        raise ValueError(f"unknown scale {scale!r}")
+    yt_cfg, ml_cfg = _base_configs(scale, seed)
     ytube = generate_ytube(yt_cfg)
     mlens = generate_mlens(ml_cfg)
     return {
@@ -1427,164 +1451,6 @@ def run_batch_throughput(
     items_per_sec["index+updates"] = with_updates
     return BatchThroughputResult(
         dataset=dataset.name, n_items=len(items), items_per_sec=items_per_sec
-    )
-
-
-# ----------------------------------------------------------------------
-# Native scoring kernels — fused-kernel vs vectorized scan-batch serving
-# ----------------------------------------------------------------------
-@dataclass
-class NativeKernelsResult:
-    """Fused-kernel (``scoring="native"``) vs vectorized scan-batch serving.
-
-    Attributes:
-        dataset: benchmark dataset name.
-        n_items: items served per timed pass.
-        k: recommendation depth per query.
-        batch_size: micro-batch window of the timed passes.
-        rounds: timed passes per arm (throughput uses the total).
-        vectorized_seconds: total timed seconds of the vectorized arm.
-        native_seconds: total timed seconds of the native arm.
-        native_engaged: the compiled kernels actually served (numba
-            present and self-tested); False means the native arm ran the
-            bit-identical vectorized fallback — parity still judged, the
-            >=5x headline not claimed.
-        fallbacks: ``repro.core.kernels`` fallback counter after the run.
-        parity_ok: every native ranked list matched the vectorized arm's
-            within the 1e-9 tie discipline (bitwise when falling back).
-    """
-
-    dataset: str
-    n_items: int
-    k: int
-    batch_size: int
-    rounds: int
-    vectorized_seconds: float
-    native_seconds: float
-    native_engaged: bool
-    fallbacks: int
-    parity_ok: bool
-
-    @property
-    def vectorized_items_per_sec(self) -> float:
-        total = self.n_items * self.rounds
-        return total / self.vectorized_seconds if self.vectorized_seconds else 0.0
-
-    @property
-    def native_items_per_sec(self) -> float:
-        total = self.n_items * self.rounds
-        return total / self.native_seconds if self.native_seconds else 0.0
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.native_items_per_sec / self.vectorized_items_per_sec
-            if self.vectorized_items_per_sec
-            else 0.0
-        )
-
-    def to_text(self) -> str:
-        mode = "compiled kernels" if self.native_engaged else "FALLBACK (vectorized)"
-        lines = [
-            f"Native scoring kernels — scan-batch serving ({self.dataset})",
-            f"  items={self.n_items} k={self.k} batch={self.batch_size} "
-            f"rounds={self.rounds}",
-            f"  vectorized: {self.vectorized_items_per_sec:9.1f} items/sec "
-            f"({self.vectorized_seconds:.3f}s)",
-            f"  native:     {self.native_items_per_sec:9.1f} items/sec "
-            f"({self.native_seconds:.3f}s)  [{mode}]",
-            f"  speedup: {self.speedup:.2f}x   fallbacks={self.fallbacks}",
-            f"  parity: {'within 1e-9 ties' if self.parity_ok else 'BROKEN'}",
-        ]
-        return "\n".join(lines)
-
-
-def run_native_kernels(
-    dataset: Dataset,
-    k: int = 30,
-    batch_size: int = 64,
-    max_items: int = 512,
-    rounds: int = 3,
-    config: SsRecConfig | None = None,
-    seed: int = 1,
-) -> NativeKernelsResult:
-    """Measure the fused native kernels on the scan-batch serving path.
-
-    Two replicas of one trained scan-mode recommender serve the same item
-    slice through ``recommend_batch``: the vectorized arm and a replica
-    switched to ``scoring="native"``.  Both arms run one full **untimed**
-    warm-up pass first — for the native arm that is where numba JIT
-    compilation happens, so compile time is excluded from the timed
-    region by construction (the rule docs/BENCHMARKS.md states).  The
-    timed passes alternate arm order per round so neither arm
-    systematically benefits from warmed CPU caches, and the native arm's
-    ranked lists are compared to the vectorized arm's within the 1e-9
-    tie discipline while being timed, so the measured win is proven
-    correct as it is measured.
-
-    Without numba the native arm serves through the bit-identical
-    vectorized fallback: parity still gates, the throughput columns
-    approximately tie, and ``native_engaged`` records that the >=5x
-    headline was not claimable on this machine.
-    """
-    from repro.core import kernels
-    from repro.sim.oracle import matches_within_ties  # local: keeps eval import-light
-
-    base = config or SsRecConfig()
-    stream = partition_interactions(dataset)
-    items = [
-        item
-        for partition in stream.test_indices
-        for item in stream.items_in_partition(partition)
-    ][: int(max_items)]
-    if not items:
-        raise ValueError("dataset has no test items to serve")
-    windows = [
-        items[start : start + int(batch_size)]
-        for start in range(0, len(items), int(batch_size))
-    ]
-
-    template = _fit_ssrec(dataset, stream, base, use_index=False, seed=seed)
-    vectorized = template
-    native = copy.deepcopy(template).set_scoring("native")
-
-    def serve(rec: SsRecRecommender) -> tuple[list, float]:
-        started = time.perf_counter()
-        ranked = [rec.recommend_batch(window, k) for window in windows]
-        return ranked, time.perf_counter() - started
-
-    # Untimed warm-up passes: JIT compilation (native), expanded-query
-    # and column caches (both arms).
-    serve(vectorized)
-    serve(native)
-
-    vectorized_seconds = 0.0
-    native_seconds = 0.0
-    parity_ok = True
-    for round_index in range(int(rounds)):
-        if round_index % 2 == 0:
-            want, v_secs = serve(vectorized)
-            got, n_secs = serve(native)
-        else:
-            got, n_secs = serve(native)
-            want, v_secs = serve(vectorized)
-        vectorized_seconds += v_secs
-        native_seconds += n_secs
-        for want_window, got_window in zip(want, got):
-            for want_ranked, got_ranked in zip(want_window, got_window):
-                parity_ok = parity_ok and matches_within_ties(got_ranked, want_ranked)
-
-    return NativeKernelsResult(
-        dataset=dataset.name,
-        n_items=len(items),
-        k=int(k),
-        batch_size=int(batch_size),
-        rounds=int(rounds),
-        vectorized_seconds=vectorized_seconds,
-        native_seconds=native_seconds,
-        native_engaged=kernels.native_ready(),
-        fallbacks=kernels.fallback_count(),
-        parity_ok=parity_ok,
     )
 
 

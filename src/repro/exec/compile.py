@@ -33,8 +33,6 @@ from repro.exec.ops import (
     FanoutOp,
     FullScanCandidateOp,
     MergeOp,
-    NativeCppseKnnOp,
-    NativeTopKOp,
     OracleScoreOp,
     OracleSelectOp,
     PreRankedSelectOp,
@@ -199,25 +197,6 @@ class CompiledPlan:
         return f"CompiledPlan({self.plan.name!r}: {stages})"
 
 
-def _use_native(plan: ExecPlan) -> bool:
-    """Whether a ``scoring="native"`` plan gets the compiled kernels.
-
-    Decided once per plan compilation: when the kernels are unavailable
-    (numba missing, ``REPRO_NATIVE=0``, or a failed JIT self-test) the
-    fallback is recorded — one-time warning plus the ``native.fallbacks``
-    obs counter — and the caller compiles the bit-identical vectorized
-    pipeline instead, so a native plan always serves.
-    """
-    if plan.scoring != "native":
-        return False
-    from repro.core.kernels import native_ready, record_fallback
-
-    if native_ready():
-        return True
-    record_fallback(plan.name)
-    return False
-
-
 def compile_plan(
     plan: ExecPlan,
     owner,
@@ -257,18 +236,12 @@ def compile_plan(
                 f"(fit with use_index=True or call attach_index())"
             )
         prologue = [CppseProbeCandidateOp(owner)]
-        if _use_native(plan):
-            serve = [NativeCppseKnnOp(owner), PreRankedSelectOp()]
-        else:
-            serve = [CppseKnnOp(owner), PreRankedSelectOp()]
+        serve = [CppseKnnOp(owner), PreRankedSelectOp()]
     else:
         if getattr(owner, "matcher", None) is None:
             raise TypeError(f"owner of plan {plan.name!r} has no matcher (not fitted?)")
         prologue = [FullScanCandidateOp(owner)]
-        if _use_native(plan):
-            serve = [NativeTopKOp(owner), PreRankedSelectOp()]
-        else:
-            serve = [VectorizedScoreOp(owner), TopKSelectOp(owner)]
+        serve = [VectorizedScoreOp(owner), TopKSelectOp(owner)]
 
     # Dedup wraps the serve stages first — ahead of scoring, and ahead of
     # the fan-out on sharded plans, so one collapse saves every shard's

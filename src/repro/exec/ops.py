@@ -203,55 +203,6 @@ class CppseKnnOp(ScoreOp):
         ctx.ranked = self.owner.index.knn_batch(ctx.items, ctx.k)
 
 
-class NativeTopKOp(ScoreOp):
-    """Fused gather+log+top-k over the matcher arrays (``scan-*-native``).
-
-    Wraps :class:`repro.core.kernels.NativeEngine`: one compiled pass
-    replaces the score-matrix materialization *and* the partial sort, so
-    like :class:`CppseKnnOp` this stage produces ranked results directly
-    and pairs with :class:`PreRankedSelectOp`.  Only compiled into a
-    pipeline when :func:`repro.core.kernels.native_ready` holds — the
-    fallback is the (bit-identical) vectorized stage pair, decided at
-    plan-compile time in :mod:`repro.exec.compile`.
-    """
-
-    def __init__(self, owner) -> None:
-        from repro.core.kernels import NativeEngine  # local: optional backend
-
-        self.owner = owner
-        self.engine = NativeEngine(owner.matcher)
-
-    def run_item(self, ctx: ExecContext) -> None:
-        ctx.ranked = [self.engine.top_k(ctx.items[0], ctx.k)]
-
-    def run_batch(self, ctx: ExecContext) -> None:
-        ctx.ranked = self.engine.top_k_batch(ctx.items, ctx.k)
-
-
-class NativeCppseKnnOp(ScoreOp):
-    """Fused Algorithm-1 probe+bound+score (``index-*-native``).
-
-    Same probe, pruning bound and merge order as :class:`CppseKnnOp`'s
-    ``CPPseIndex.knn``, with the per-tree leaf scoring and top-k
-    maintenance fused into one compiled kernel over the matcher rows of
-    each probed tree.  Produces ranked results directly; pairs with
-    :class:`PreRankedSelectOp`.  The candidate stage upstream
-    (:class:`CppseProbeCandidateOp`) still owns the Algorithm-2 flush.
-    """
-
-    def __init__(self, owner) -> None:
-        from repro.core.kernels import NativeEngine  # local: optional backend
-
-        self.owner = owner
-        self.engine = NativeEngine(owner.matcher, owner.index)
-
-    def run_item(self, ctx: ExecContext) -> None:
-        ctx.ranked = [self.engine.knn(ctx.items[0], ctx.k)]
-
-    def run_batch(self, ctx: ExecContext) -> None:
-        ctx.ranked = self.engine.knn_batch(ctx.items, ctx.k)
-
-
 # ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------

@@ -11,15 +11,15 @@ such shape as a point in a small axis space:
 candidate source    ``full-scan`` (every stored user) or ``cppse-probe``
                     (the index's probed trees, Algorithm 1 + the lazy
                     Algorithm-2 flush)
-scoring             ``vectorized`` (NumPy matcher), ``native`` (the fused
-                    numba kernels of :mod:`repro.core.kernels`, falling
-                    back to vectorized when unavailable) or
-                    ``oracle-reference`` (the naive per-pair scorer from
-                    :mod:`repro.sim.oracle`)
+scoring             ``vectorized`` (NumPy matcher) or ``oracle-reference``
+                    (the naive per-pair scorer from :mod:`repro.sim.oracle`)
 batching            ``item`` (one query per call) or ``micro-batch``
                     (amortized windows)
 placement           ``local`` (one process) or ``sharded(strategy,
-                    backend)`` (fan-out + merge)
+                    backend)`` (fan-out + merge; backends ``sequential``,
+                    ``thread``, ``process`` or ``shmem``)
+transport           ``inproc`` (a library call) or ``wire`` (served over
+                    the socket protocol; the ``served-*`` plans)
 cached              plan-level :class:`~repro.exec.cache.ResultCache`
                     wrapped around scoring (the ``*-cached`` variants)
 dedup               near-duplicate upload collapse ahead of scoring
@@ -51,7 +51,7 @@ from repro.core.config import (
 )
 
 CANDIDATE_SOURCES = ("full-scan", "cppse-probe")
-SCORINGS = ("vectorized", "native", "oracle-reference")
+SCORINGS = ("vectorized", "oracle-reference")
 BATCHINGS = ("item", "micro-batch")
 PLACEMENT_KINDS = ("local", "sharded")
 TRANSPORTS = ("inproc", "wire")
@@ -66,7 +66,8 @@ class Placement:
         strategy: user-partition strategy of a sharded placement
             (``"hash"`` or ``"block"``); None for local plans.
         backend: fan-out backend of a sharded placement (``"sequential"``,
-            ``"thread"`` or ``"process"``); None for local plans.
+            ``"thread"``, ``"process"`` or ``"shmem"``); None for local
+            plans.
     """
 
     kind: str = "local"
@@ -105,7 +106,7 @@ class ExecPlan:
     Attributes:
         name: registry name ("scan-item", "sharded-index-block", ...).
         candidate_source: ``"full-scan"`` or ``"cppse-probe"``.
-        scoring: ``"vectorized"``, ``"native"`` or ``"oracle-reference"``.
+        scoring: ``"vectorized"`` or ``"oracle-reference"``.
         batching: ``"item"`` or ``"micro-batch"`` — the entry point the
             conformance replay drives (compiled plans serve both).
         placement: local or sharded placement.
@@ -132,12 +133,6 @@ class ExecPlan:
         anchor: name of the plan this one must match **bit for bit**
             during conformance; None means the plan is judged against the
             naive oracle (within the 1e-9 tie discipline) instead.
-        anchor_within_ties: relax the anchored comparison from bitwise to
-            the 1e-9 tie discipline.  The ``*-native`` plans use this:
-            the fused kernels take scalar ``log`` where NumPy applies its
-            SIMD ``np.log``, a documented ULP-level divergence (the same
-            one the oracle judge tolerates), so bitwise anchoring would
-            test libm instead of the serving path.
     """
 
     name: str
@@ -151,7 +146,6 @@ class ExecPlan:
     description: str = ""
     conformance: bool = True
     anchor: str | None = None
-    anchor_within_ties: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -169,8 +163,6 @@ class ExecPlan:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {self.dedup!r}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
-        if self.anchor_within_ties and self.anchor is None:
-            raise ValueError("anchor_within_ties requires an anchor")
 
     # ------------------------------------------------------------------
     # Derived facts
@@ -195,11 +187,11 @@ class ExecPlan:
         plan — oracle-reference scoring is a diagnostic axis with no
         config spelling, and wire transport is a deployment fact, so
         those plans are instantiated by name only."""
-        return self.scoring in ("vectorized", "native") and self.transport == "inproc"
+        return self.scoring == "vectorized" and self.transport == "inproc"
 
     def config_overrides(self) -> dict:
         """``SsRecConfig.with_options`` overrides that make a config ask
-        for this plan's placement, scoring and caching.
+        for this plan's placement, caching and dedup.
 
         The candidate source (``use_index``) and batching are per-call
         facts, not config fields, so :meth:`PlanRegistry.for_config`
@@ -207,8 +199,6 @@ class ExecPlan:
         ``SsRecConfig.to_dict``/``from_dict`` (property-tested).
         """
         overrides: dict = {"result_cache": self.cached, "dedup": self.dedup}
-        if self.config_derivable:  # oracle-reference has no config spelling
-            overrides["scoring"] = self.scoring
         if self.is_sharded:
             overrides.update(
                 n_shards=2,
@@ -233,8 +223,6 @@ class ExecPlan:
         )
         if self.anchor is None:
             judge = "vs oracle"
-        elif self.anchor_within_ties:
-            judge = f"within ties of {self.anchor}"
         else:
             judge = f"bit-identical to {self.anchor}"
         flags = "cached " if self.cached else ""
@@ -324,7 +312,7 @@ class PlanRegistry:
         """The plan a config (plus the per-call axes) asks for.
 
         Placement comes from ``n_shards``/``shard_strategy``/``serve_backend``,
-        scoring from ``scoring``, caching from ``result_cache``
+        caching from ``result_cache``
         (overridable via ``cached``), the candidate source from
         ``use_index``.  A registered plan with matching axes is returned
         under its registered name; otherwise a plan is synthesized with a
@@ -341,7 +329,6 @@ class PlanRegistry:
             placement=placement,
             batching=batching,
             cached=config.result_cache if cached is None else bool(cached),
-            scoring=config.scoring,
             dedup=config.dedup,
         )
 
@@ -351,7 +338,6 @@ class PlanRegistry:
         placement: Placement,
         batching: str = "item",
         cached: bool = False,
-        scoring: str = "vectorized",
         dedup: str = "off",
     ) -> ExecPlan:
         """The plan at an explicit axis point (registered name when one
@@ -360,7 +346,7 @@ class PlanRegistry:
         than its config says."""
         axes = (
             "cppse-probe" if use_index else "full-scan",
-            scoring,
+            "vectorized",
             batching,
             placement,
             bool(cached),
@@ -390,8 +376,6 @@ class PlanRegistry:
             if placement.backend != "sequential":
                 parts.append(placement.backend or "")
         parts.append("batch" if batching == "micro-batch" else "item")
-        if scoring == "native":
-            parts.append("native")
         if cached:
             parts.append("cached")
         if dedup == "exact":
@@ -490,53 +474,6 @@ def _build_default_registry() -> PlanRegistry:
         anchor="sharded-index-block",
         description="block CPPse shards over shared-memory fan-out "
         "(epoch copy-on-publish)",
-    ))
-    # The *-native family: the same four local serving shapes scored by
-    # the fused numba kernels (repro.core.kernels).  Judged within the
-    # 1e-9 tie discipline against the vectorized anchors: the kernels
-    # take scalar log where NumPy applies SIMD np.log, a documented
-    # ULP-level divergence (see the kernels module docstring), so
-    # bitwise anchoring would test libm, not the serving path.  When the
-    # compiled kernels are unavailable the plans compile to the
-    # vectorized pipeline bit-identically (one-time warning + obs
-    # counter), so the family stays green without numba.
-    registry.register(ExecPlan(
-        name="scan-item-native",
-        candidate_source="full-scan",
-        scoring="native",
-        anchor="scan-item",
-        anchor_within_ties=True,
-        description="per-item scan through the fused gather+log+top-k "
-        "kernel (vectorized fallback when numba is absent)",
-    ))
-    registry.register(ExecPlan(
-        name="scan-batch-native",
-        candidate_source="full-scan",
-        scoring="native",
-        batching="micro-batch",
-        anchor="scan-item",
-        anchor_within_ties=True,
-        description="micro-batched scan through the fused kernel "
-        "(amortized state snapshot, vectorized fallback)",
-    ))
-    registry.register(ExecPlan(
-        name="index-item-native",
-        candidate_source="cppse-probe",
-        scoring="native",
-        anchor="index-item",
-        anchor_within_ties=True,
-        description="per-item CPPse probe with fused bound+score+top-k "
-        "over tree members (vectorized fallback)",
-    ))
-    registry.register(ExecPlan(
-        name="index-batch-native",
-        candidate_source="cppse-probe",
-        scoring="native",
-        batching="micro-batch",
-        anchor="index-item",
-        anchor_within_ties=True,
-        description="micro-batched CPPse probe through the fused kernels "
-        "(pseudo-query grouping, vectorized fallback)",
     ))
     registry.register(ExecPlan(
         name="oracle-item",

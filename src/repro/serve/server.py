@@ -56,6 +56,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.exec.compile import as_executor
 from repro.obs.metrics import LatencyHistogram, MetricsRegistry
@@ -71,6 +72,10 @@ from repro.serve.protocol import (
     encode_reply,
     ranked_to_wire,
 )
+
+
+class SnapshotPathError(ValueError):
+    """A wire ``snapshot`` request named a path the server will not use."""
 
 
 @dataclass
@@ -356,6 +361,12 @@ class RecommenderServer:
             the log and keeps the untraced fast path.
         slow_request_log_size: how many slow requests the log retains
             (oldest evicted first).
+        snapshot_dir: the one directory the wire ``snapshot`` op may
+            write to and reload from.  A request names a snapshot
+            *relative* to it; a name that is absolute or resolves
+            outside it (``..``, a symlink pointing out) is refused with a
+            typed error reply.  ``None`` (the default) refuses every
+            ``snapshot`` request — clients never choose a server path.
     """
 
     def __init__(
@@ -371,6 +382,7 @@ class RecommenderServer:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         slow_request_seconds: float | None = None,
         slow_request_log_size: int = 32,
+        snapshot_dir=None,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -389,6 +401,7 @@ class RecommenderServer:
         )
         self.slow_requests: deque[dict] = deque(maxlen=int(slow_request_log_size))
         self.stats = ServerStats()
+        self.snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir).resolve()
         self.snapshot_reloads = 0
         self._coalescer = _Coalescer(self, max_batch=max_batch, max_delay=max_delay)
         # One model thread: every mutation and every (coalesced) batch
@@ -622,11 +635,16 @@ class RecommenderServer:
             )
             return _map_future(model_future, lambda _: Reply(rid, "ok"))
         if op == "snapshot":
-            path, reload_flag = payload["path"], payload["reload"]
+            name, reload_flag = payload["path"], payload["reload"]
+            try:
+                target = self._snapshot_target(name)
+            except SnapshotPathError as exc:
+                return _ready(Reply(rid, "error", error=f"SnapshotPathError: {exc}"))
             model_future = self._submit_model(
-                lambda: self._snapshot(path, reload_flag)
+                lambda: self._snapshot(target, reload_flag)
             )
-            return _map_future(model_future, lambda result: Reply(rid, "ok", result=result))
+            return _map_future(model_future, lambda reloaded: Reply(
+                rid, "ok", result={"path": name, "reloaded": reloaded}))
         if op == "stats":
             return _ready(Reply(rid, "ok", result=self.stats.as_dict()))
         if op == "metrics":
@@ -652,7 +670,26 @@ class RecommenderServer:
             "slow_requests": list(self.slow_requests),
         }
 
-    def _snapshot(self, path: str, reload_flag: bool) -> dict:
+    def _snapshot_target(self, name: str) -> Path:
+        """The directory a wire ``snapshot`` request may use, or
+        :class:`SnapshotPathError`: the name must be relative and resolve
+        (symlinks followed) strictly inside :attr:`snapshot_dir`."""
+        root = self.snapshot_dir
+        if root is None:
+            raise SnapshotPathError("this server has no snapshot directory")
+        if Path(name).is_absolute():
+            raise SnapshotPathError(f"snapshot name {name!r} must be relative")
+        try:
+            target = (root / name).resolve()
+        except (OSError, RuntimeError, ValueError) as exc:  # NUL byte, symlink loop
+            raise SnapshotPathError(f"snapshot name {name!r} is not a usable path") from exc
+        if root not in target.parents:
+            raise SnapshotPathError(
+                f"snapshot name {name!r} resolves outside the snapshot directory"
+            )
+        return target
+
+    def _snapshot(self, path: Path, reload_flag: bool) -> bool:
         """Save the owner; optionally swap in a fresh warm-started copy.
 
         Runs on the model thread, so the reload is atomic with respect to
@@ -667,7 +704,7 @@ class RecommenderServer:
             if callable(close):
                 close()
             self.snapshot_reloads += 1
-        return {"path": str(path), "reloaded": bool(reload_flag)}
+        return bool(reload_flag)
 
     #: Reply writes above this much buffered outbound data switch from the
     #: synchronous fast path to an awaited ``drain`` that keeps holding the

@@ -172,7 +172,6 @@ class ShardedRecommender:
         # and the result-cache switch for the *-cached plan variants.
         self.exec_epoch = 0
         self._result_cache_enabled = self.config.result_cache
-        self._scoring = self.config.scoring
         self._dedup_mode = self.config.dedup
         self._compiled = None  # CompiledPlan, built lazily per current state
 
@@ -365,35 +364,10 @@ class ShardedRecommender:
                 use_index=self.use_index,
                 placement=Placement.sharded(self.plan.strategy, self.backend),
                 cached=self._result_cache_enabled,
-                scoring=self._scoring,
                 dedup=self._dedup_mode,
             )
             self._compiled = compile_plan(exec_plan, self)
         return self._compiled
-
-    def set_scoring(self, mode: str) -> "ShardedRecommender":
-        """Switch every shard's scoring backend (``"vectorized"`` /
-        ``"native"``).
-
-        Native scoring composes with sharding at the *shard* level — the
-        fan-out/merge pipeline is scoring-agnostic, each shard serves its
-        slice through the fused kernels (or falls back, per shard, when
-        they are unavailable).  Reaches in-process shards immediately;
-        the process/shmem backends pickle shard state at pool start, so
-        set the config's ``scoring`` (or call this) *before* the first
-        serve to affect worker processes.
-        """
-        from repro.core.config import SCORING_BACKENDS
-
-        if mode not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {mode!r}"
-            )
-        for shard in self.shards:
-            shard.set_scoring(mode)
-        self._scoring = mode
-        self._compiled = None
-        return self
 
     def enable_result_cache(self, enabled: bool = True) -> "ShardedRecommender":
         """Switch serving to (or from) the ``*-cached`` plan variant (an

@@ -153,45 +153,6 @@ class RecommenderShard:
         )
         self._maintenance_pending: set[int] = set()
         self._updates_since_maintenance = 0
-        self._scoring = config.scoring
-        self._native = None  # lazily-built NativeEngine (native scoring only)
-
-    def set_scoring(self, mode: str) -> None:
-        """Switch this shard's scoring backend (see the facades'
-        ``set_scoring``); the native engine is rebuilt lazily."""
-        from repro.core.config import SCORING_BACKENDS
-
-        if mode not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {mode!r}"
-            )
-        self._scoring = mode
-        self._native = None
-
-    def _native_engine(self):
-        """The shard's fused-kernel engine when native scoring is both
-        requested and available; None otherwise (vectorized serving).
-
-        Shards serve their slice directly (no compiled plan), so the
-        native-vs-fallback decision the plan compiler makes in
-        :func:`repro.exec.compile._use_native` is restated here, with the
-        same one-time warning and obs counter on fallback.
-        """
-        if self._scoring != "native":
-            return None
-        if self._native is None:
-            from repro.core.kernels import (
-                NativeEngine,
-                native_ready,
-                record_fallback,
-            )
-
-            if not native_ready():
-                record_fallback(f"shard-{self.shard_id}")
-                self._scoring = "vectorized"  # don't re-probe per request
-                return None
-            self._native = NativeEngine(self.matcher, self.index)
-        return self._native
 
     @property
     def n_users(self) -> int:
@@ -234,15 +195,14 @@ class RecommenderShard:
     def recommend(self, item: SocialItem, k: int) -> list[tuple[int, float]]:
         """Shard-local exact top-``k``, sorted by ``(-score, user_id)``."""
         started = time.perf_counter()
-        engine = self._native_engine()
         if self.index is not None:
             if self._maintenance_pending:
                 self.run_maintenance()
             with span("shard.knn", shard=self.shard_id, n_items=1):
-                ranked = engine.knn(item, k) if engine else self.index.knn(item, k)
+                ranked = self.index.knn(item, k)
         else:
             with span("shard.scan", shard=self.shard_id, n_items=1):
-                ranked = engine.top_k(item, k) if engine else self.matcher.top_k(item, k)
+                ranked = self.matcher.top_k(item, k)
         self.metrics.queries += 1
         self.metrics.record_serve(time.perf_counter() - started, 1, len(ranked))
         return ranked
@@ -255,23 +215,14 @@ class RecommenderShard:
         if not items:
             return []
         started = time.perf_counter()
-        engine = self._native_engine()
         if self.index is not None:
             if self._maintenance_pending:
                 self.run_maintenance()
             with span("shard.knn", shard=self.shard_id, n_items=len(items)):
-                ranked_lists = (
-                    engine.knn_batch(items, k)
-                    if engine
-                    else self.index.knn_batch(items, k)
-                )
+                ranked_lists = self.index.knn_batch(items, k)
         else:
             with span("shard.scan", shard=self.shard_id, n_items=len(items)):
-                ranked_lists = (
-                    engine.top_k_batch(items, k)
-                    if engine
-                    else self.matcher.top_k_batch(items, k)
-                )
+                ranked_lists = self.matcher.top_k_batch(items, k)
         self.metrics.batches += 1
         self.metrics.record_serve(
             time.perf_counter() - started,

@@ -43,7 +43,11 @@ from repro.core.ssrec import SsRecRecommender
 #: facades' exec epoch/result-cache flags, EntityExpander's expand memo.
 #: Version-1 snapshots lack those attributes and would load cleanly only
 #: to crash on first serve, so they are rejected by the version check.
-SNAPSHOT_FORMAT_VERSION = 2
+#: Version 3: ``SsRecConfig`` lost its ``scoring`` field (one scorer), and
+#: the facades their ``_scoring`` attribute.  A version-2 manifest config
+#: carries ``scoring`` and would pass the checksum and the unpickle only
+#: to fail in ``SsRecConfig.from_dict``, so it is refused up front.
+SNAPSHOT_FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 STATE_NAME = "state.pkl"
 

@@ -52,6 +52,7 @@ divergences (wired into CI; see docs/TESTING.md).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import tempfile
 import time
@@ -171,10 +172,13 @@ class _WireReplica:
     through the blocking client — the same framed bytes a remote caller
     would send.  ``recommend_window`` pipelines a window's per-item
     requests so the server's dynamic coalescer forms the micro-batches.
+    Server-side snapshots are confined to ``snapshot_dir``.
     """
 
-    def __init__(self, recommender, coalesce: bool) -> None:
-        self._thread = ServerThread(RecommenderServer(recommender, coalesce=coalesce))
+    def __init__(self, recommender, coalesce: bool, snapshot_dir: Path) -> None:
+        self._thread = ServerThread(RecommenderServer(
+            recommender, coalesce=coalesce, snapshot_dir=snapshot_dir
+        ))
         host, port = self._thread.start()
         self.client = RecommenderClient(host, port)
 
@@ -202,9 +206,10 @@ class _WireReplica:
     def recommend_window(self, items, k: int):
         return self.client.recommend_window(items, k)
 
-    def snapshot_reload(self, path) -> None:
-        """Server-side save + owner swap, behind the live connection."""
-        self.client.snapshot(path, reload=True)
+    def snapshot_reload(self, name: str) -> None:
+        """Server-side save + owner swap, behind the live connection
+        (``name`` is relative to the server's snapshot directory)."""
+        self.client.snapshot(name, reload=True)
 
     def close(self) -> None:
         self.client.close()
@@ -306,7 +311,9 @@ class ConformanceRunner:
     # ------------------------------------------------------------------
     # Replica construction (entirely plan-driven)
     # ------------------------------------------------------------------
-    def _build_paths(self, template: SsRecRecommender) -> dict[str, _PathState]:
+    def _build_paths(
+        self, template: SsRecRecommender, snapshot_dir: Path
+    ) -> dict[str, _PathState]:
         """One live replica per replayed plan, built from the plan's axes.
 
         A newly registered plan needs no code here: placement decides
@@ -336,18 +343,14 @@ class ConformanceRunner:
                 # Micro-batch wire plans coalesce on the server; per-item
                 # wire plans dispatch each request alone (coalesce off).
                 recommender = _WireReplica(
-                    replica, coalesce=plan.batching == "micro-batch"
+                    replica,
+                    coalesce=plan.batching == "micro-batch",
+                    snapshot_dir=snapshot_dir,
                 )
             else:
                 if plan.uses_index:
                     replica.attach_index()
                 recommender = replica
-            if plan.scoring == "native" and not plan.is_wire:
-                # The *-native plans: same replica, fused-kernel serving
-                # (or its bit-identical vectorized fallback when the
-                # compiled kernels are unavailable — the plan is judged
-                # either way, which is what keeps the fallback honest).
-                recommender.set_scoring("native")
             if plan.cached:
                 recommender.enable_result_cache()
             if plan.dedup != "off":
@@ -378,33 +381,37 @@ class ConformanceRunner:
 
         oracle_rec = copy.deepcopy(template)
         oracle = OracleMatcher(oracle_rec.scorer, oracle_rec.profiles)
-        states = self._build_paths(template)
-        summary = scenario.summary()
-        report = ConformanceReport(
-            scenario=scenario.name,
-            description=scenario.description,
-            seed=scenario.seed,
-            k=self.k,
-            window_size=self.window_size,
-            n_events=summary["n_events"],
-            n_uploads=summary["n_uploads"],
-            n_interactions=summary["n_interactions"],
-            paths={name: states[name].report for name in states},
-        )
-
-        try:
-            if snapshot_dir is not None:
-                self._replay(scenario, oracle_rec, oracle, states, Path(snapshot_dir))
-            else:
-                with tempfile.TemporaryDirectory(prefix="repro-conformance-") as tmp:
-                    self._replay(scenario, oracle_rec, oracle, states, Path(tmp))
-        finally:
+        with contextlib.ExitStack() as stack:
+            if snapshot_dir is None:
+                snapshot_dir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-conformance-")
+                )
+            snapshot_dir = Path(snapshot_dir)
+            states = self._build_paths(template, snapshot_dir)
             # Sharded replicas own worker processes and wire replicas own
-            # a live server thread — release both even on a failed replay.
-            for state in states.values():
-                if state.is_sharded or state.plan.is_wire:
-                    state.recommender.close()
+            # a live server thread — release both even on a failed replay
+            # (before the temporary snapshot directory goes away).
+            stack.callback(self._close_replicas, states)
+            summary = scenario.summary()
+            report = ConformanceReport(
+                scenario=scenario.name,
+                description=scenario.description,
+                seed=scenario.seed,
+                k=self.k,
+                window_size=self.window_size,
+                n_events=summary["n_events"],
+                n_uploads=summary["n_uploads"],
+                n_interactions=summary["n_interactions"],
+                paths={name: states[name].report for name in states},
+            )
+            self._replay(scenario, oracle_rec, oracle, states, snapshot_dir)
         return report
+
+    @staticmethod
+    def _close_replicas(states: dict[str, "_PathState"]) -> None:
+        for state in states.values():
+            if state.is_sharded or state.plan.is_wire:
+                state.recommender.close()
 
     def _replay(self, scenario, oracle_rec, oracle, states, snapshot_dir) -> None:
         window: list[SocialItem] = []
@@ -460,7 +467,7 @@ class ConformanceRunner:
                 # Server-side snapshot + owner swap behind the live
                 # connection: the warm-started owner must keep serving
                 # bit-compatibly with the (never-reloaded) anchor.
-                state.recommender.snapshot_reload(snapshot_dir / f"{state.name}-w")
+                state.recommender.snapshot_reload(f"{state.name}-w")
                 state.report.snapshot_reloads += 1
             results = self._serve(state, window)
             state.report.n_windows += 1
@@ -514,15 +521,9 @@ class ConformanceRunner:
         for position, item in enumerate(window):
             if anchor is not None:
                 # Family members must not move a single bit vs the
-                # family's per-item anchor path — except plans that opt
-                # into the 1e-9 tie discipline (the *-native family's
-                # documented scalar-vs-SIMD log ULP divergence).
+                # family's per-item anchor path.
                 want = anchor[position]
-                predicate = (
-                    matches_within_ties
-                    if state.plan.anchor_within_ties
-                    else matches_exactly
-                )
+                predicate = matches_exactly
             else:
                 # Anchor paths (and paths replayed without their anchor)
                 # are judged against the independent naive oracle, over

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SsRecConfig
-from repro.core.matching import ScoreParts
+from repro.core.matching import ScoreParts, VectorizedMatcher
+from repro.core.profiles import ProfileStore
 from repro.datasets.schema import SocialItem
+from repro.hmm.utils import PROB_FLOOR
 
 
 class TestSsRecConfig:
@@ -197,6 +200,43 @@ class TestVectorizedMatcher:
                     f"user {user_id} item {item.item_id} lambda {lam}"
                 )
 
+    def test_matches_numpy_reference(self, fitted_ssrec, ytube_small):
+        """Eq. 2-4 restated as closed-form NumPy over the dense state
+        arrays agrees with ``score_all`` within the tie tolerance."""
+        matcher = fitted_ssrec.matcher
+        scorer = fitted_ssrec.scorer
+        mu, lam = scorer.config.dirichlet_mu, scorer.config.lambda_s
+        matcher.sync()
+        n = len(matcher.user_ids)
+        state = {name: arr[:n] for name, arr in matcher.state_arrays().items()}
+        checked = 0
+        for item in ytube_small.items[:40]:
+            query = scorer.expanded_query(item)
+            if not (0 <= item.producer < scorer.n_producers) or any(
+                not 0 <= e < scorer.n_entities for e, _ in query
+            ):
+                continue  # out-of-universe symbols live in the sparse overflow
+            c = item.category
+            p_long = np.maximum(state["long_dist"][:, c], PROB_FLOOR)
+            p_short = np.maximum(state["short_dist"][:, c], PROB_FLOOR)
+            p_prod = (state["producer_counts"][:, item.producer] + mu / scorer.n_producers) / (
+                state["n_long"] + mu
+            )
+            esum = np.zeros(n)
+            for entity, weight in query:
+                esum += weight * (state["entity_counts"][:, entity] + mu / scorer.n_entities) / (
+                    state["n_tokens"] + mu
+                )
+            r_long = (
+                np.log(p_long)
+                + np.log(np.maximum(p_prod, PROB_FLOOR))
+                + np.log(np.maximum(esum, PROB_FLOOR))
+            )
+            want = (1.0 - lam) * r_long + lam * np.log(p_short)
+            np.testing.assert_allclose(matcher.score_all(item), want, rtol=0.0, atol=1e-9)
+            checked += 1
+        assert checked > 0
+
     def test_top_k_order_deterministic(self, fitted_ssrec, ytube_small):
         item = ytube_small.items[50]
         a = fitted_ssrec.matcher.top_k(item, 10)
@@ -236,3 +276,52 @@ class TestVectorizedMatcher:
             )
         after = matcher.score_all(item)
         assert after[0] > before[0]
+
+
+class TestSelectTopK:
+    """``VectorizedMatcher.select_top_k``: the ``(-score, user_id)``
+    selection every scan plan ends in."""
+
+    @staticmethod
+    def _reference(scores, user_ids, k):
+        order = sorted(range(len(scores)), key=lambda r: (-scores[r], user_ids[r]))
+        return [(int(user_ids[r]), float(scores[r])) for r in order[: min(k, len(scores))]]
+
+    @pytest.fixture(scope="class")
+    def reversed_matcher(self, fitted_ssrec):
+        """A matcher whose row order is descending user id, so a tie
+        broken by row position would pick the wrong users."""
+        store = ProfileStore(fitted_ssrec.profiles.window_size)
+        for user_id in sorted(fitted_ssrec.profiles.user_ids(), reverse=True):
+            store.add(fitted_ssrec.profiles.get(user_id))
+        matcher = VectorizedMatcher(fitted_ssrec.scorer, store)
+        matcher.sync()
+        return matcher
+
+    def test_rejects_negative_k(self, fitted_ssrec):
+        with pytest.raises(ValueError, match="k must be"):
+            fitted_ssrec.matcher.select_top_k(np.zeros(3), -1)
+
+    def test_k_zero_selects_nothing(self, reversed_matcher):
+        scores = np.arange(reversed_matcher.user_id_array().size, dtype=np.float64)
+        assert reversed_matcher.select_top_k(scores, 0) == []
+
+    def test_k_larger_than_n_returns_all_sorted(self, reversed_matcher):
+        uids = reversed_matcher.user_id_array()
+        scores = np.random.default_rng(0).random(uids.size)
+        got = reversed_matcher.select_top_k(scores, uids.size + 50)
+        assert got == self._reference(scores, uids, uids.size + 50)
+
+    def test_ties_break_on_user_id_not_position(self, reversed_matcher):
+        uids = reversed_matcher.user_id_array()
+        assert uids[0] > uids[-1]  # rows really run against user-id order
+        got = reversed_matcher.select_top_k(np.ones(uids.size), 2)
+        assert [u for u, _ in got] == sorted(uids.tolist())[:2]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=120))
+    def test_matches_sorted_reference(self, reversed_matcher, seed, k):
+        uids = reversed_matcher.user_id_array()
+        # Coarse quantization manufactures plenty of exact score ties.
+        scores = np.random.default_rng(seed).integers(0, 5, size=uids.size).astype(np.float64)
+        assert reversed_matcher.select_top_k(scores, k) == self._reference(scores, uids, k)

@@ -91,7 +91,12 @@ class TestDispatch:
             recorder.calls.append(((scale,), {"seed": seed}))
             return datasets
 
+        def make_dataset(name, scale, seed):
+            recorder.calls.append(((name, scale), {"seed": seed}))
+            return datasets[name]
+
         monkeypatch.setattr(ex, "make_datasets", make_datasets)
+        monkeypatch.setattr(ex, "make_dataset", make_dataset)
         return datasets, recorder
 
     @pytest.mark.parametrize(
@@ -118,8 +123,9 @@ class TestDispatch:
         args, kwargs = recorder.calls[0]
         assert args[0] is datasets["MLens"]
         assert kwargs["seed"] == 11
-        # The same --seed drove the dataset generators.
-        assert dataset_recorder.calls[0][1]["seed"] == 11
+        # The same --seed drove the dataset generators, which built only
+        # the dataset the experiment serves.
+        assert dataset_recorder.calls == [(("MLens", "small"), {"seed": 11})]
 
     def test_fig11_dispatch_gets_all_datasets(
         self, monkeypatch, capsys, fake_datasets

@@ -18,6 +18,16 @@ class TestMakeDatasets:
         with pytest.raises(ValueError, match="unknown scale"):
             ex.make_datasets("galactic")
 
+    @pytest.mark.parametrize("name", ["YTube", "SynYTube"])
+    def test_single_dataset_build_matches_full_build(self, name):
+        """Each dataset has its own generator seed, so building one alone
+        yields exactly the entry the four-dataset build produces."""
+        assert ex.make_dataset(name, "small", seed=3) == ex.make_datasets("small", seed=3)[name]
+
+    def test_single_dataset_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown dataset"):
+            ex.make_dataset("Myspace")
+
     def test_seed_changes_data(self):
         a = ex.make_datasets("small", seed=1)["YTube"]
         b = ex.make_datasets("small", seed=2)["YTube"]

@@ -45,10 +45,6 @@ class TestExecPlan:
         with pytest.raises(ValueError, match="name"):
             ExecPlan(name="", candidate_source="full-scan")
 
-    def test_anchor_within_ties_requires_anchor(self):
-        with pytest.raises(ValueError, match="requires an anchor"):
-            ExecPlan(name="x", candidate_source="full-scan", anchor_within_ties=True)
-
     def test_derived_facts(self):
         plan = PLAN_REGISTRY.get("index-batch")
         assert plan.uses_index and not plan.is_sharded
@@ -58,10 +54,6 @@ class TestExecPlan:
     def test_describe_mentions_judge(self):
         assert "bit-identical to scan-item" in PLAN_REGISTRY.get("scan-batch").describe()
         assert "vs oracle" in PLAN_REGISTRY.get("scan-item").describe()
-        assert (
-            "within ties of scan-item"
-            in PLAN_REGISTRY.get("scan-item-native").describe()
-        )
 
 
 class TestRegistry:
@@ -72,19 +64,10 @@ class TestRegistry:
             "sharded-scan-hash", "sharded-index-block", "sharded-scan-process",
             "oracle-item", "scan-item-cached", "scan-batch-cached",
             "index-item-cached", "index-batch-cached", "sharded-scan-hash-cached",
-            "scan-item-native", "scan-batch-native", "index-item-native",
-            "index-batch-native",
         ):
             assert expected in names
-
-    def test_native_family_anchored_within_ties(self):
-        for name in ("scan-item-native", "scan-batch-native",
-                     "index-item-native", "index-batch-native"):
-            plan = PLAN_REGISTRY.get(name)
-            assert plan.scoring == "native"
-            assert plan.anchor_within_ties
-            anchor = PLAN_REGISTRY.get(plan.anchor)
-            assert anchor.scoring == "vectorized" and anchor.anchor is None
+        assert len(names) == 23
+        assert len(PLAN_REGISTRY.conformance_paths()) == 21
 
     def test_conformance_catalog_is_registry_derived(self):
         """The drift guard: the runner's catalog IS the registry."""
@@ -193,20 +176,6 @@ class TestForConfig:
         plan = PLAN_REGISTRY.for_config(config, use_index=True)
         assert plan.name == "sharded-index-block-thread-item"
         assert not plan.conformance  # synthesized plans are servable, not cataloged
-
-    def test_native_from_config_field(self):
-        config = SsRecConfig(scoring="native")
-        assert PLAN_REGISTRY.for_config(config, use_index=False).name == "scan-item-native"
-        assert (
-            PLAN_REGISTRY.for_config(config, use_index=True, batching="micro-batch").name
-            == "index-batch-native"
-        )
-        # Sharded native has no registered shape: the fan-out plan is
-        # synthesized (scoring happens inside the shards either way).
-        sharded = SsRecConfig(scoring="native", n_shards=2, shard_strategy="hash")
-        plan = PLAN_REGISTRY.for_config(sharded, use_index=False)
-        assert plan.name == "sharded-scan-hash-item-native"
-        assert not plan.conformance
 
     def test_oracle_plans_not_derivable(self):
         assert not PLAN_REGISTRY.get("oracle-item").config_derivable

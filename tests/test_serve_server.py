@@ -14,7 +14,10 @@ serving machinery — not the model — is what's under test:
 - clean shutdown: stopping mid-window flushes the coalescer and drains
   every admitted request — no reply dropped, nothing served twice;
 - remote failures and wire garbage: typed ``error`` replies, counted,
-  connection dropped only on unparseable bytes.
+  connection dropped only on unparseable bytes;
+- snapshot confinement: the wire ``snapshot`` op only ever touches the
+  server's configured directory — no directory, ``..``, absolute and
+  symlink-escape names get typed error replies and write nothing.
 
 Bitwise parity of served results against the in-process path is the wire
 conformance suite's job (``test_serve_wire_conformance.py``); here the
@@ -315,12 +318,12 @@ class TestErrorsAndOps:
                 return loaded
 
         original = Snapshottable()
-        server = RecommenderServer(original, coalesce=False)
-        target = tmp_path / "snap"
+        server = RecommenderServer(original, coalesce=False, snapshot_dir=tmp_path)
         with ServerThread(server) as (host, port):
             with RecommenderClient(host, port) as client:
-                result = client.snapshot(target, reload=True)
-                assert result == {"path": str(target), "reloaded": True}
+                result = client.snapshot("snap", reload=True)
+                assert result == {"path": "snap", "reloaded": True}
+                assert (tmp_path / "snap").read_text() == "stub-state"
                 # Served by the reloaded owner, not the original.
                 assert client.recommend(make_item(5), 2) == original.expected(5, 2)
         assert server.recommender is not original
@@ -496,3 +499,88 @@ class TestObservability:
     def test_slow_threshold_validation(self):
         with pytest.raises(ValueError, match="slow_request_seconds"):
             RecommenderServer(StubRecommender(), slow_request_seconds=-1.0)
+
+
+class _SavingStub(StubRecommender):
+    """Records every path it is asked to save to (and writes there)."""
+
+    def __init__(self):
+        super().__init__()
+        self.saved = []
+
+    def save(self, path):
+        self.saved.append(Path(path))
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text("stub-state")
+
+    @classmethod
+    def load(cls, path):  # pragma: no cover - refused requests never load
+        return cls()
+
+
+class TestSnapshotConfinement:
+    """Wire fuzz of the ``snapshot`` op's path: every escape attempt gets
+    a typed error reply, the owner is never asked to save, and the
+    connection keeps serving."""
+
+    def _refused(self, server, name, reload=False):
+        with ServerThread(server) as (host, port):
+            with RecommenderClient(host, port) as client:
+                with pytest.raises(ServerError, match="SnapshotPathError"):
+                    client.snapshot(name, reload=reload)
+                # The refusal is a reply, not a dropped connection.
+                assert client.recommend(make_item(4), 2) == StubRecommender.expected(4, 2)
+        assert server.recommender.saved == []
+        assert server.snapshot_reloads == 0
+        assert server.stats.errors == 1
+
+    def test_no_snapshot_dir_refuses_every_request(self, tmp_path):
+        self._refused(RecommenderServer(_SavingStub()), str(tmp_path / "snap"))
+        assert not (tmp_path / "snap").exists()
+
+    @pytest.mark.parametrize(
+        "name", ["..", "../escape", "a/../../escape", "./../escape", "a/b/../../../escape"]
+    )
+    def test_dotdot_escape_refused(self, tmp_path, name):
+        root = tmp_path / "snaps"
+        root.mkdir()
+        self._refused(RecommenderServer(_SavingStub(), snapshot_dir=root), name, reload=True)
+        assert not (tmp_path / "escape").exists()
+
+    @pytest.mark.parametrize("inside", [False, True])
+    def test_absolute_path_refused(self, tmp_path, inside):
+        root = tmp_path / "snaps"
+        root.mkdir()
+        target = (root if inside else tmp_path) / "abs"
+        self._refused(RecommenderServer(_SavingStub(), snapshot_dir=root), str(target))
+        assert not target.exists()
+
+    def test_root_itself_refused(self, tmp_path):
+        for name in ("", ".", "a/.."):
+            self._refused(RecommenderServer(_SavingStub(), snapshot_dir=tmp_path), name)
+
+    def test_symlink_escape_refused(self, tmp_path):
+        root = tmp_path / "snaps"
+        root.mkdir()
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (root / "link").symlink_to(outside, target_is_directory=True)
+        self._refused(
+            RecommenderServer(_SavingStub(), snapshot_dir=root), "link/snap", reload=True
+        )
+        assert list(outside.iterdir()) == []
+
+    def test_unresolvable_names_refused(self, tmp_path):
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        for name in ("nul\x00byte", "loop/snap"):
+            self._refused(RecommenderServer(_SavingStub(), snapshot_dir=tmp_path), name)
+
+    def test_name_inside_dir_accepted(self, tmp_path):
+        stub = _SavingStub()
+        server = RecommenderServer(stub, snapshot_dir=tmp_path)
+        with ServerThread(server) as (host, port):
+            with RecommenderClient(host, port) as client:
+                assert client.snapshot("nested/snap") == {
+                    "path": "nested/snap", "reloaded": False,
+                }
+        assert stub.saved == [(tmp_path / "nested" / "snap").resolve()]

@@ -130,6 +130,24 @@ class TestManifest:
         with pytest.raises(SnapshotError, match="format"):
             SsRecRecommender.load(tmp_path / "snap")
 
+    def test_version_two_manifest_with_scoring_refused(
+        self, ytube_small, ytube_stream, tmp_path
+    ):
+        """A pre-version-3 snapshot (its config still names the removed
+        ``scoring`` backend) fails the version check with the typed error,
+        not a bare ``ValueError`` from config parsing."""
+        rec = _fresh(ytube_small, ytube_stream, False)
+        save_snapshot(rec, tmp_path / "snap")
+        manifest_path = tmp_path / "snap" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest["config"]["scoring"] = "vectorized"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="format 2 unsupported"):
+            SsRecRecommender.load(tmp_path / "snap")
+        with pytest.raises(SnapshotError, match="format 2 unsupported"):
+            ShardedRecommender.load(tmp_path / "snap")
+
     def test_corrupt_payload_detected(self, ytube_small, ytube_stream, tmp_path):
         rec = _fresh(ytube_small, ytube_stream, False)
         save_snapshot(rec, tmp_path / "snap")
